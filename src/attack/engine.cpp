@@ -1,12 +1,8 @@
 #include "attack/engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
-#include <exception>
-#include <mutex>
 #include <thread>
 
 #include "telemetry/telemetry.h"
@@ -72,36 +68,7 @@ Tensor AttackEngine::run(Attack& attack, const Tensor& x,
                 .count()));
   };
 
-  if (!pool_) {
-    for (std::int64_t s = 0; s < num_shards; ++s) run_shard(s);
-    return out;
-  }
-
-  std::atomic<std::int64_t> remaining(num_shards);
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-
-  for (std::int64_t s = 0; s < num_shards; ++s) {
-    pool_->submit([&, s] {
-      try {
-        run_shard(s);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-      if (remaining.fetch_sub(1) == 1) {
-        std::lock_guard<std::mutex> lock(done_mu);
-        done_cv.notify_all();
-      }
-    });
-  }
-  {
-    std::unique_lock<std::mutex> lock(done_mu);
-    done_cv.wait(lock, [&] { return remaining.load() == 0; });
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  fork_join(pool_.get(), num_shards, run_shard);
   return out;
 }
 

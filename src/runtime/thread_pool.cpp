@@ -5,14 +5,13 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <mutex>
 
 namespace diva {
 namespace {
-// Set while a pool worker is executing a job. Nested parallel_for calls
-// from inside a worker run serially instead of enqueueing (which could
-// deadlock if every worker blocked waiting on queued chunks).
-thread_local bool t_inside_worker = false;
+// The pool whose worker this thread is (null on every other thread).
+// Nested fan-outs from inside a worker run inline instead of enqueueing
+// (which could deadlock if every worker blocked waiting on queued tasks).
+thread_local const ThreadPool* t_worker_of = nullptr;
 }  // namespace
 
 ThreadPool::ThreadPool(unsigned threads) {
@@ -43,6 +42,7 @@ void ThreadPool::submit(std::function<void()> job) {
 }
 
 void ThreadPool::worker_loop() {
+  t_worker_of = this;
   for (;;) {
     std::function<void()> job;
     {
@@ -52,9 +52,7 @@ void ThreadPool::worker_loop() {
       job = std::move(jobs_.front());
       jobs_.pop();
     }
-    t_inside_worker = true;
     job();
-    t_inside_worker = false;
   }
 }
 
@@ -87,51 +85,58 @@ ThreadPool& global_pool() {
   return *g_pool;
 }
 
+void fork_join(ThreadPool* pool, std::int64_t count,
+               const std::function<void(std::int64_t)>& fn) {
+  if (pool == nullptr || count <= 1 || t_worker_of == pool) {
+    for (std::int64_t i = 0; i < count; ++i) fn(i);
+    return;
+  }
+  std::atomic<std::int64_t> remaining(count);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  std::exception_ptr first_error;
+  // Only the last task takes `mu`, to set `done` and notify; the waiter
+  // waits for `done`, not for the count, so it cannot free this stack
+  // state until that task has released the lock.
+  const auto run = [&](std::int64_t i) {
+    try {
+      fn(i);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mu);
+      if (!first_error) first_error = std::current_exception();
+    }
+    if (remaining.fetch_sub(1) > 1) return;
+    std::lock_guard<std::mutex> lock(mu);
+    done = true;
+    cv.notify_all();
+  };
+  for (std::int64_t i = 0; i < count; ++i) {
+    pool->submit([&run, i] { run(i); });
+  }
+  std::unique_lock<std::mutex> lock(mu);
+  cv.wait(lock, [&] { return done; });
+  if (first_error) std::rethrow_exception(first_error);
+}
+
 void parallel_for_chunked(
     std::int64_t begin, std::int64_t end,
     const std::function<void(std::int64_t, std::int64_t)>& fn,
     std::int64_t grain) {
   const std::int64_t n = end - begin;
   if (n <= 0) return;
-  if (t_inside_worker) {
+  if (t_worker_of != nullptr) {
     fn(begin, end);
     return;
   }
   ThreadPool& pool = global_pool();
   const std::int64_t max_chunks = static_cast<std::int64_t>(pool.size()) * 4;
-  std::int64_t chunk = std::max<std::int64_t>(grain, (n + max_chunks - 1) / max_chunks);
-  const std::int64_t num_chunks = (n + chunk - 1) / chunk;
-  if (num_chunks <= 1) {
-    fn(begin, end);
-    return;
-  }
-
-  std::atomic<std::int64_t> remaining(num_chunks);
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-
-  for (std::int64_t c = 0; c < num_chunks; ++c) {
+  const std::int64_t chunk =
+      std::max<std::int64_t>(grain, (n + max_chunks - 1) / max_chunks);
+  fork_join(&pool, (n + chunk - 1) / chunk, [&](std::int64_t c) {
     const std::int64_t lo = begin + c * chunk;
-    const std::int64_t hi = std::min(end, lo + chunk);
-    pool.submit([&, lo, hi] {
-      try {
-        fn(lo, hi);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-      if (remaining.fetch_sub(1) == 1) {
-        std::lock_guard<std::mutex> lock(done_mu);
-        done_cv.notify_all();
-      }
-    });
-  }
-
-  std::unique_lock<std::mutex> lock(done_mu);
-  done_cv.wait(lock, [&] { return remaining.load() == 0; });
-  if (first_error) std::rethrow_exception(first_error);
+    fn(lo, std::min(end, lo + chunk));
+  });
 }
 
 void parallel_for(std::int64_t begin, std::int64_t end,

@@ -1,9 +1,10 @@
-// Minimal work-stealing-free thread pool plus parallel_for.
+// Minimal work-stealing-free thread pool plus fork_join, the one
+// fan-out-and-wait primitive (parallel_for chunks, AttackEngine shards
+// and serve-worker jobs all run through it).
 //
 // Used by the tensor and kernel code to parallelize batched convolutions
 // and matrix multiplies across CPU cores. The pool is created once per
-// process (see global_pool()); parallel_for blocks until all chunks
-// complete, and rethrows the first exception raised by any chunk.
+// process (see global_pool()).
 #pragma once
 
 #include <condition_variable>
@@ -21,6 +22,7 @@ class ThreadPool {
  public:
   /// Creates `threads` workers (defaults to hardware concurrency, min 1).
   explicit ThreadPool(unsigned threads = 0);
+  /// Runs every job still queued, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -45,12 +47,18 @@ class ThreadPool {
 /// Process-wide pool used by parallel_for. Lazily constructed.
 ThreadPool& global_pool();
 
-/// Runs fn(i) for i in [begin, end) across the global pool.
-///
-/// The range is split into contiguous chunks of at least `grain`
-/// iterations. Falls back to serial execution for small ranges.
-/// Blocks until every iteration has completed; rethrows the first
-/// exception thrown by any chunk.
+/// Runs fn(i) for i in [0, count) on `pool`, blocks until every task has
+/// returned, then rethrows the first exception (the other tasks still run
+/// to completion); no task touches the caller's stack after it returns.
+/// Runs inline instead, in index order, when `pool` is null, count <= 1,
+/// or the caller is a worker of `pool` (a nested call); an exception then
+/// propagates at once.
+void fork_join(ThreadPool* pool, std::int64_t count,
+               const std::function<void(std::int64_t)>& fn);
+
+/// Runs fn(i) for i in [begin, end) across the global pool: fork_join
+/// over contiguous chunks of at least `grain` iterations. Runs inline, as
+/// one call over the whole range, inside any pool's worker.
 void parallel_for(std::int64_t begin, std::int64_t end,
                   const std::function<void(std::int64_t)>& fn,
                   std::int64_t grain = 1);

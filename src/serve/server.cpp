@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <utility>
@@ -78,30 +77,6 @@ struct WorkerJobState {
   double seconds = 0.0;
   std::string error;
 };
-
-/// Runs `fn(i)` for every job index across the worker's pool, blocking
-/// until all complete — the engine's shard-fanout shape.
-void fan_out(ThreadPool* pool, std::size_t count,
-             const std::function<void(std::size_t)>& fn) {
-  if (pool == nullptr || count <= 1) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  std::atomic<std::size_t> remaining(count);
-  std::mutex mu;
-  std::condition_variable cv;
-  for (std::size_t i = 0; i < count; ++i) {
-    pool->submit([&, i] {
-      fn(i);  // fn captures its own errors; never throws
-      if (remaining.fetch_sub(1) == 1) {
-        std::lock_guard<std::mutex> lock(mu);
-        cv.notify_all();
-      }
-    });
-  }
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return remaining.load() == 0; });
-}
 
 void pin_to_cores(unsigned index, unsigned threads) {
   const long ncpu = ::sysconf(_SC_NPROCESSORS_ONLN);
@@ -206,8 +181,9 @@ void run_worker(int fd, const scenario::ModelPool& pool,
       for (std::size_t s = 0; s < indices.size(); ++s) {
         states[s].job = std::move(jobs[indices[s]]);
       }
-      fan_out(threads.get(), states.size(), [&](std::size_t s) {
-        WorkerJobState& st = states[s];
+      const auto num_states = static_cast<std::int64_t>(states.size());
+      fork_join(threads.get(), num_states, [&](std::int64_t s) {
+        WorkerJobState& st = states[static_cast<std::size_t>(s)];
         const auto t0 = std::chrono::steady_clock::now();
         try {
           st.adv = attack->perturb_indexed(st.job.images, st.job.labels,

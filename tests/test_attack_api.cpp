@@ -3,7 +3,11 @@
 // quantized-model gradient sources (STE and finite differences).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
+#include <string>
+#include <thread>
 
 #include "attack/engine.h"
 #include "attack/probe_compression.h"
@@ -324,6 +328,45 @@ TEST(AttackEngine2, CallbackAttacksFallBackToSequential) {
   const AttackEngine engine({.threads = 2, .shard_size = 2});
   (void)engine.run(*attack, eval.images, eval.labels);
   EXPECT_EQ(calls, 3);
+}
+
+/// Shardable attack whose shard starting at sample `bad_first` throws at
+/// once, while every other shard sleeps before it finishes.
+class ThrowingShardAttack : public Attack {
+ public:
+  explicit ThrowingShardAttack(std::int64_t bad_first) : bad_first_(bad_first) {}
+  Tensor perturb(const Tensor& x, const std::vector<int>& labels) override {
+    return perturb_indexed(x, labels, 0);
+  }
+  Tensor perturb_indexed(const Tensor& x, const std::vector<int>&,
+                         std::int64_t first_sample) override {
+    if (first_sample == bad_first_) throw Error("shard failed");
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    finished++;
+    return x;
+  }
+  bool shardable() const override { return true; }
+  std::string name() const override { return "throwing-shard"; }
+
+  std::atomic<int> finished{0};
+
+ private:
+  std::int64_t bad_first_;
+};
+
+TEST(AttackEngine2, ShardErrorIsRethrownAfterEveryOtherShardFinished) {
+  const Tensor x(Shape{8, 1, 2, 2});
+  const std::vector<int> labels(8, 0);
+  ThrowingShardAttack attack(/*bad_first=*/2);
+  const AttackEngine engine({.threads = 4, .shard_size = 2});
+  try {
+    (void)engine.run(attack, x, labels);
+    FAIL() << "the failing shard's error was swallowed";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("shard failed"), std::string::npos);
+  }
+  // Shards 0, 4 and 6 were still sleeping when shard 2 threw.
+  EXPECT_EQ(attack.finished.load(), 3);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 // Thread-pool/parallel_for tests plus robust-training behavior.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 
 #include "core/trainer.h"
 #include "data/synth_digits.h"
@@ -58,21 +61,72 @@ TEST(ParallelFor, ChunkedPartitionIsDisjointAndComplete) {
 }
 
 TEST(ThreadPool, RunsSubmittedJobs) {
-  ThreadPool pool(2);
   std::atomic<int> done{0};
-  std::mutex mu;
-  std::condition_variable cv;
-  for (int i = 0; i < 16; ++i) {
-    pool.submit([&] {
-      if (done.fetch_add(1) == 15) {
-        std::lock_guard<std::mutex> lock(mu);
-        cv.notify_all();
-      }
-    });
-  }
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait_for(lock, std::chrono::seconds(10), [&] { return done == 16; });
+  {
+    ThreadPool pool(2);
+    for (int i = 0; i < 16; ++i) pool.submit([&] { done++; });
+  }  // ~ThreadPool runs every queued job, then joins the workers.
   EXPECT_EQ(done.load(), 16);
+}
+
+// Many tiny fan-outs back to back. Each call's completion state sits in
+// the same stack slot as the previous call's, so a task that touches
+// that state after its waiter returned shows up under TSan
+// (-DDIVA_SANITIZE=thread) as a race; the plain build checks counts.
+constexpr int kStressCalls = 50000;
+constexpr int kStressWidth = 8;
+
+TEST(ForkJoin, StressParallelForRunsEachChunkExactlyOnce) {
+  int bad_calls = 0;
+  for (int call = 0; call < kStressCalls; ++call) {
+    std::array<int, kStressWidth> hits{};
+    parallel_for_chunked(0, kStressWidth, [&](std::int64_t lo, std::int64_t hi) {
+      for (std::int64_t i = lo; i < hi; ++i) hits[static_cast<std::size_t>(i)]++;
+    });
+    for (const int h : hits) bad_calls += h != 1;
+  }
+  EXPECT_EQ(bad_calls, 0);
+}
+
+TEST(ForkJoin, StressPrivatePoolRunsEachTaskExactlyOnce) {
+  ThreadPool pool(4);
+  int bad_calls = 0;
+  for (int call = 0; call < kStressCalls; ++call) {
+    std::array<int, kStressWidth> hits{};
+    fork_join(&pool, kStressWidth,
+              [&](std::int64_t i) { hits[static_cast<std::size_t>(i)]++; });
+    for (const int h : hits) bad_calls += h != 1;
+  }
+  EXPECT_EQ(bad_calls, 0);
+}
+
+TEST(ForkJoin, RethrowsOnlyAfterEveryTaskFinished) {
+  ThreadPool pool(4);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(fork_join(&pool, 6,
+                         [&](std::int64_t i) {
+                           if (i == 0) throw Error("boom");
+                           std::this_thread::sleep_for(
+                               std::chrono::milliseconds(20));
+                           finished++;
+                         }),
+               Error);
+  EXPECT_EQ(finished.load(), 5);
+}
+
+TEST(ForkJoin, InlineForNullPoolAndNestedCallOnOwnPool) {
+  std::vector<std::int64_t> order;
+  fork_join(nullptr, 3, [&](std::int64_t i) { order.push_back(i); });
+  EXPECT_EQ(order, (std::vector<std::int64_t>{0, 1, 2}));
+
+  // On a 1-thread pool a nested fork_join that queued work would wait
+  // on its own (only) worker forever; it must run inline instead.
+  ThreadPool one(1);
+  std::atomic<int> total{0};
+  fork_join(&one, 2, [&](std::int64_t) {
+    fork_join(&one, 4, [&](std::int64_t) { total++; });
+  });
+  EXPECT_EQ(total.load(), 8);
 }
 
 // ---------------------------------------------------------------------------

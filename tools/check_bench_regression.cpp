@@ -18,56 +18,25 @@
 // gated.
 //
 // Input format: line-delimited JSON records as bench_serve_throughput
-// writes them. Fields are extracted with a flat scanner (no nesting
-// inside the gated fields), which keeps this tool dependency-free.
+// writes them. Fields are extracted with the flat scanner in
+// runtime/flat_json.h (no nesting inside the gated fields).
 //
 // Usage:
 //   check_bench_regression --current PATH --baseline PATH
 //                          [--threshold FRACTION]
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "runtime/flat_json.h"
+
 namespace {
 
-/// Extracts a `"key":<number>` field from one flat JSON record line.
-/// Returns false when the key is absent. Keys are matched quoted and
-/// colon-terminated, so "p50_ms" never matches "server_p50_ms".
-bool extract_number(const std::string& line, const std::string& key,
-                    double* out) {
-  const std::string needle = "\"" + key + "\":";
-  std::size_t pos = 0;
-  while ((pos = line.find(needle, pos)) != std::string::npos) {
-    // Reject a longer key ending in ours ("x_p50_ms" vs "p50_ms").
-    if (pos > 0 && line[pos - 1] != ',' && line[pos - 1] != '{') {
-      pos += needle.size();
-      continue;
-    }
-    const char* start = line.c_str() + pos + needle.size();
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end == start) return false;  // non-numeric value
-    *out = v;
-    return true;
-  }
-  return false;
-}
-
-bool extract_string(const std::string& line, const std::string& key,
-                    std::string* out) {
-  const std::string needle = "\"" + key + "\":\"";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  const std::size_t start = pos + needle.size();
-  const std::size_t stop = line.find('"', start);
-  if (stop == std::string::npos) return false;
-  *out = line.substr(start, stop - start);
-  return true;
-}
+using diva::flat_json::extract_number;
+using diva::flat_json::extract_string;
 
 struct Point {
   double ratio = 0.0;       // served / same-run engine baseline

@@ -29,46 +29,16 @@
 //   check_probe_efficiency --current PATH [--ratio FRACTION]
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "runtime/flat_json.h"
+
 namespace {
 
-/// Extracts a `"key":<number>` field from one flat JSON record line.
-/// Keys are matched quoted and colon-terminated, so "probe_rows" never
-/// matches inside a longer key.
-bool extract_number(const std::string& line, const std::string& key,
-                    double* out) {
-  const std::string needle = "\"" + key + "\":";
-  std::size_t pos = 0;
-  while ((pos = line.find(needle, pos)) != std::string::npos) {
-    if (pos > 0 && line[pos - 1] != ',' && line[pos - 1] != '{') {
-      pos += needle.size();
-      continue;
-    }
-    const char* start = line.c_str() + pos + needle.size();
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end == start) return false;
-    *out = v;
-    return true;
-  }
-  return false;
-}
-
-bool extract_string(const std::string& line, const std::string& key,
-                    std::string* out) {
-  const std::string needle = "\"" + key + "\":\"";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  const std::size_t start = pos + needle.size();
-  const std::size_t stop = line.find('"', start);
-  if (stop == std::string::npos) return false;
-  *out = line.substr(start, stop - start);
-  return true;
-}
+using diva::flat_json::extract_number;
+using diva::flat_json::extract_string;
 
 struct Point {
   std::string variant;
