@@ -1,6 +1,7 @@
 #include "quant/int8_kernels.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "kernels/igemm.h"
@@ -49,13 +50,18 @@ void qconv2d(const std::int8_t* in, const ConvGeom& g, std::int32_t in_zp,
   const std::int64_t oh = g.out_h(), ow = g.out_w();
   const std::int64_t k2 = g.in_c * g.kernel_h * g.kernel_w;
   const std::int64_t ohw = oh * ow;
+  const IgemmEpilogue ep = epilogue(bias, rq, 0, out_zp, act_min, act_max);
+  // A 1x1 / stride-1 / unpadded conv's patch matrix is the CHW input.
+  if (g.kernel_h == 1 && g.kernel_w == 1 && g.stride == 1 && g.pad == 0) {
+    igemm(out_c, ohw, k2, w, k2, in, ohw, in_zp, ep, out, ohw);
+    return;
+  }
   // Lower to a GEMM: padded taps read the input zero point, which is
   // exactly real zero, so the igemm zero-point correction is exact.
   auto frame = Workspace::tls().frame();
   std::int8_t* cols = frame.alloc<std::int8_t>(k2 * ohw);
   im2col<std::int8_t>(in, g, static_cast<std::int8_t>(in_zp), cols);
-  igemm(out_c, ohw, k2, w, k2, cols, ohw, in_zp,
-        epilogue(bias, rq, 0, out_zp, act_min, act_max), out, ohw);
+  igemm(out_c, ohw, k2, w, k2, cols, ohw, in_zp, ep, out, ohw);
 }
 
 void qdepthwise_conv2d(const std::int8_t* in, const ConvGeom& g,
@@ -214,14 +220,84 @@ void qdense_reference(const std::int8_t* in, std::int64_t in_f,
   }
 }
 
+namespace {
+
+// qadd / qrequantize rescale each operand on its own: shift left by 20
+// for precision, then a fixed-point multiply by s_in / s_out / 2^20
+// (TFLite's double rescale).
+constexpr int kRescaleShift = 20;
+
+struct Rescale {
+  std::int32_t zero_point, multiplier;
+  int shift;
+
+  Rescale(QuantParams from, QuantParams to) : zero_point(from.zero_point) {
+    quantize_multiplier(static_cast<double>(from.scale) / to.scale /
+                            (1 << kRescaleShift),
+                        &multiplier, &shift);
+  }
+  std::int32_t operator()(std::int8_t q) const {
+    return multiply_by_quantized_multiplier(
+        (static_cast<std::int32_t>(q) - zero_point) << kRescaleShift,
+        multiplier, shift);
+  }
+};
+
+/// t[q + 128] = f(q) over every int8 q.
+template <typename T, typename F>
+std::array<T, 256> tabulate(F f) {
+  std::array<T, 256> t{};
+  for (int q = kQmin; q <= kQmax; ++q) {
+    t[static_cast<std::size_t>(q + 128)] =
+        static_cast<T>(f(static_cast<std::int8_t>(q)));
+  }
+  return t;
+}
+
+std::size_t lut_index(std::int8_t q) {
+  return static_cast<std::size_t>(static_cast<int>(q) + 128);
+}
+
+}  // namespace
+
 void qadd(std::span<const std::int8_t> a, QuantParams qp_a,
           std::span<const std::int8_t> b, QuantParams qp_b,
           QuantParams qp_out, std::int32_t act_min, std::int32_t act_max,
           std::span<std::int8_t> out) {
   DIVA_CHECK(a.size() == b.size() && a.size() == out.size(),
              "qadd size mismatch");
-  // Left-shift inputs before the fixed-point rescale to keep precision
-  // (TFLite uses the same trick with shift = 20).
+  // Each rescaled term depends on one int8 operand only, so one table
+  // per operand reproduces qadd_reference exactly.
+  const Rescale ra(qp_a, qp_out), rb(qp_b, qp_out);
+  const auto ta = tabulate<std::int32_t>(ra);
+  const auto tb = tabulate<std::int32_t>(
+      [&](std::int8_t q) { return rb(q) + qp_out.zero_point; });
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    out[i] = clamp_to_int8(ta[lut_index(a[i])] + tb[lut_index(b[i])],
+                           act_min, act_max);
+  }
+}
+
+void qrequantize(std::span<const std::int8_t> in, QuantParams qp_in,
+                 QuantParams qp_out, std::span<std::int8_t> out) {
+  DIVA_CHECK(in.size() == out.size(), "qrequantize size mismatch");
+  if (qp_in == qp_out) {
+    std::copy(in.begin(), in.end(), out.begin());
+    return;
+  }
+  const Rescale r(qp_in, qp_out);
+  const auto lut = tabulate<std::int8_t>([&](std::int8_t q) {
+    return clamp_to_int8(r(q) + qp_out.zero_point, kQmin, kQmax);
+  });
+  qlut(in, lut, out);
+}
+
+void qadd_reference(std::span<const std::int8_t> a, QuantParams qp_a,
+                    std::span<const std::int8_t> b, QuantParams qp_b,
+                    QuantParams qp_out, std::int32_t act_min,
+                    std::int32_t act_max, std::span<std::int8_t> out) {
+  DIVA_CHECK(a.size() == b.size() && a.size() == out.size(),
+             "qadd_reference size mismatch");
   constexpr int kLeftShift = 20;
   std::int32_t mult_a = 0, mult_b = 0;
   int shift_a = 0, shift_b = 0;
@@ -244,9 +320,9 @@ void qadd(std::span<const std::int8_t> a, QuantParams qp_a,
   }
 }
 
-void qrequantize(std::span<const std::int8_t> in, QuantParams qp_in,
-                 QuantParams qp_out, std::span<std::int8_t> out) {
-  DIVA_CHECK(in.size() == out.size(), "qrequantize size mismatch");
+void qrequantize_reference(std::span<const std::int8_t> in, QuantParams qp_in,
+                           QuantParams qp_out, std::span<std::int8_t> out) {
+  DIVA_CHECK(in.size() == out.size(), "qrequantize_reference size mismatch");
   if (qp_in == qp_out) {
     std::copy(in.begin(), in.end(), out.begin());
     return;

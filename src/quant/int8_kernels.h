@@ -12,6 +12,13 @@
 // epilogue fused). The original naive scalar loops are retained as
 // `*_reference` — integer arithmetic is exact, so the GEMM-backed
 // kernels are pinned bit-identical against them in tests.
+//
+// The elementwise ops (qadd, qrequantize, qlut) are exact 256-entry
+// tables: every output depends on each int8 operand through a function
+// of that operand alone, so tabulating it over all 256 values and
+// looking it up gives the same bits as computing it per element. qadd
+// and qrequantize build their tables per call from the fixed-point
+// formula their `*_reference` loops apply element by element.
 #pragma once
 
 #include <cstdint>
@@ -105,6 +112,15 @@ void qadd(std::span<const std::int8_t> a, QuantParams qp_a,
 /// Requantizes a buffer from one affine grid to another.
 void qrequantize(std::span<const std::int8_t> in, QuantParams qp_in,
                  QuantParams qp_out, std::span<std::int8_t> out);
+
+/// Per-element fixed-point loops that qadd / qrequantize tabulate; the
+/// table versions are pinned bit-exact against these over every input.
+void qadd_reference(std::span<const std::int8_t> a, QuantParams qp_a,
+                    std::span<const std::int8_t> b, QuantParams qp_b,
+                    QuantParams qp_out, std::int32_t act_min,
+                    std::int32_t act_max, std::span<std::int8_t> out);
+void qrequantize_reference(std::span<const std::int8_t> in, QuantParams qp_in,
+                           QuantParams qp_out, std::span<std::int8_t> out);
 
 /// Non-linear activations that do not map onto the fused requant clamp
 /// (sigmoid / hard-sigmoid / leaky-relu) are lowered to a 256-entry

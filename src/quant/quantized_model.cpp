@@ -448,7 +448,7 @@ void QuantizedModel::run_batch_int8(const float* images, std::int64_t n,
   // layer over the whole batch — convolutions fan the batch across the
   // thread pool (each worker lowers+GEMMs its images with thread-local
   // scratch), the dense head runs as a single whole-batch GEMM, and
-  // elementwise ops stream over the full [n * numel] span.
+  // elementwise ops fan chunks of the flat [n * numel] span the same way.
   auto frame = Workspace::tls().frame();
   std::vector<std::int8_t*> buffers(slots_.size(), nullptr);
   std::vector<std::int64_t> sizes(slots_.size(), 0);
@@ -468,6 +468,11 @@ void QuantizedModel::run_batch_int8(const float* images, std::int64_t n,
   }, /*grain=*/4096);
   written[static_cast<std::size_t>(input_slot_)] = true;
 
+  // Elementwise ops split the flat [n * numel] span into chunks of at
+  // least this many elements, so the 256-entry tables qadd and
+  // qrequantize build per call cost next to nothing per chunk.
+  constexpr std::int64_t kElementwiseGrain = 16384;
+
   for (const QOp& op : ops_) {
     DIVA_CHECK(written[static_cast<std::size_t>(op.in0)] &&
                    (op.in1 < 0 || written[static_cast<std::size_t>(op.in1)]),
@@ -479,6 +484,15 @@ void QuantizedModel::run_batch_int8(const float* images, std::int64_t n,
     const QSlot& out_slot = slots_[static_cast<std::size_t>(op.out)];
     const std::int64_t in_n = sizes[static_cast<std::size_t>(op.in0)];
     const std::int64_t out_n = sizes[static_cast<std::size_t>(op.out)];
+    const auto elementwise = [&](const auto& fn) {
+      DIVA_CHECK(in_n == out_n, "int8 executor: elementwise size mismatch");
+      parallel_for_chunked(
+          0, n * in_n,
+          [&](std::int64_t lo, std::int64_t hi) {
+            fn(lo, static_cast<std::size_t>(hi - lo));
+          },
+          kElementwiseGrain);
+    };
 
     switch (op.kind) {
       case QOp::Kind::kConv:
@@ -522,22 +536,27 @@ void QuantizedModel::run_batch_int8(const float* images, std::int64_t n,
         std::copy_n(src, n * in_n, dst);
         break;
       case QOp::Kind::kRequantize:
-        qrequantize({src, static_cast<std::size_t>(n * in_n)}, in_slot.qp,
-                    out_slot.qp, {dst, static_cast<std::size_t>(n * out_n)});
+        elementwise([&](std::int64_t lo, std::size_t len) {
+          qrequantize({src + lo, len}, in_slot.qp, out_slot.qp,
+                      {dst + lo, len});
+        });
         break;
       case QOp::Kind::kAdd: {
         const std::int8_t* src1 = buffers[static_cast<std::size_t>(op.in1)];
-        qadd({src, static_cast<std::size_t>(n * in_n)}, in_slot.qp,
-             {src1, static_cast<std::size_t>(n * in_n)},
-             slots_[static_cast<std::size_t>(op.in1)].qp, out_slot.qp,
-             op.act_min, op.act_max,
-             {dst, static_cast<std::size_t>(n * out_n)});
+        const QuantParams qp1 = slots_[static_cast<std::size_t>(op.in1)].qp;
+        DIVA_CHECK(sizes[static_cast<std::size_t>(op.in1)] == in_n,
+                   "int8 executor: add operand size mismatch");
+        elementwise([&](std::int64_t lo, std::size_t len) {
+          qadd({src + lo, len}, in_slot.qp, {src1 + lo, len}, qp1,
+               out_slot.qp, op.act_min, op.act_max, {dst + lo, len});
+        });
         break;
       }
       case QOp::Kind::kLut:
-        qlut({src, static_cast<std::size_t>(n * in_n)},
-             {op.weights.data(), op.weights.size()},
-             {dst, static_cast<std::size_t>(n * out_n)});
+        elementwise([&](std::int64_t lo, std::size_t len) {
+          qlut({src + lo, len}, {op.weights.data(), op.weights.size()},
+               {dst + lo, len});
+        });
         break;
       case QOp::Kind::kConcat: {
         const std::int8_t* src1 = buffers[static_cast<std::size_t>(op.in1)];

@@ -76,18 +76,41 @@ void write_batch(WireWriter& w, const Tensor& images,
   w.floats(images.raw(), static_cast<std::size_t>(images.numel()));
 }
 
-void read_batch(WireReader& r, Tensor* images, std::vector<int>* labels) {
+/// Reads NCHW dims and checks, before anything is allocated, that the
+/// rest of the payload holds the tensor's floats plus, with `labels`, one
+/// int32 label per image. The element count is overflow-checked.
+Shape read_tensor_shape(WireReader& r, bool labels) {
   std::int64_t dims[4];
+  std::int64_t numel = 1;
   for (auto& d : dims) {
     d = r.i64();
     DIVA_CHECK(d > 0 && d <= (1 << 24), "implausible wire tensor dim " << d);
+    DIVA_CHECK(!__builtin_mul_overflow(numel, d, &numel),
+               "wire tensor element count overflows int64");
   }
-  const std::int64_t n = dims[0];
+  // Labels and pixels are four bytes each; numel + dims[0] fits in u64.
+  const std::uint64_t values =
+      static_cast<std::uint64_t>(numel) +
+      (labels ? static_cast<std::uint64_t>(dims[0]) : 0);
+  DIVA_CHECK(values <= r.remaining() / 4,
+             "wire tensor [" << dims[0] << "," << dims[1] << "," << dims[2]
+                             << "," << dims[3] << "] needs " << values * 4
+                             << " bytes, payload has " << r.remaining());
+  return Shape{dims[0], dims[1], dims[2], dims[3]};
+}
+
+Tensor read_tensor(WireReader& r, const Shape& shape) {
+  Tensor t(shape);
+  r.floats(t.raw(), static_cast<std::size_t>(t.numel()));
+  return t;
+}
+
+void read_batch(WireReader& r, Tensor* images, std::vector<int>* labels) {
+  const Shape shape = read_tensor_shape(r, /*labels=*/true);
   labels->clear();
-  labels->reserve(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) labels->push_back(r.i32());
-  *images = Tensor(Shape{dims[0], dims[1], dims[2], dims[3]});
-  r.floats(images->raw(), static_cast<std::size_t>(images->numel()));
+  labels->reserve(static_cast<std::size_t>(shape[0]));
+  for (std::int64_t i = 0; i < shape[0]; ++i) labels->push_back(r.i32());
+  *images = read_tensor(r, shape);
 }
 
 void write_verdicts(WireWriter& w, const std::vector<SampleVerdict>& vs) {
@@ -101,7 +124,9 @@ void write_verdicts(WireWriter& w, const std::vector<SampleVerdict>& vs) {
 
 std::vector<SampleVerdict> read_verdicts(WireReader& r) {
   const std::uint64_t n = r.u64();
-  DIVA_CHECK(n <= (1ULL << 24), "implausible verdict count " << n);
+  DIVA_CHECK(n <= (1ULL << 24) && n <= r.remaining(),
+             "implausible verdict count " << n << " for " << r.remaining()
+                                          << " payload bytes");
   std::vector<SampleVerdict> vs(static_cast<std::size_t>(n));
   for (auto& v : vs) {
     const std::uint8_t bits = r.u8();
@@ -311,13 +336,7 @@ ResultChunk decode_result_chunk(const std::vector<std::uint8_t>& payload) {
   chunk.seconds = r.f64();
   chunk.worker = r.u32();
   chunk.verdicts = read_verdicts(r);
-  std::int64_t dims[4];
-  for (auto& d : dims) {
-    d = r.i64();
-    DIVA_CHECK(d > 0 && d <= (1 << 24), "implausible wire tensor dim " << d);
-  }
-  chunk.adv = Tensor(Shape{dims[0], dims[1], dims[2], dims[3]});
-  r.floats(chunk.adv.raw(), static_cast<std::size_t>(chunk.adv.numel()));
+  chunk.adv = read_tensor(r, read_tensor_shape(r, /*labels=*/false));
   r.expect_done();
   DIVA_CHECK(chunk.hi > chunk.lo && chunk.adv.dim(0) == chunk.hi - chunk.lo &&
                  static_cast<std::int64_t>(chunk.verdicts.size()) ==
@@ -371,9 +390,10 @@ std::vector<WireJob> decode_job_batch(
     const std::vector<std::uint8_t>& payload) {
   WireReader r(payload);
   const std::uint32_t n = r.u32();
-  DIVA_CHECK(n <= (1u << 20), "implausible job-batch size " << n);
+  // Every job encodes to more than one byte.
+  DIVA_CHECK(n <= (1u << 20) && n <= r.remaining(),
+             "implausible job-batch size " << n);
   std::vector<WireJob> jobs;
-  jobs.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) jobs.push_back(read_job(r));
   r.expect_done();
   return jobs;
@@ -402,13 +422,7 @@ JobResult decode_job_result(const std::vector<std::uint8_t>& payload) {
   result.error = r.str();
   if (result.error.empty()) {
     result.verdicts = read_verdicts(r);
-    std::int64_t dims[4];
-    for (auto& d : dims) {
-      d = r.i64();
-      DIVA_CHECK(d > 0 && d <= (1 << 24), "implausible wire tensor dim " << d);
-    }
-    result.adv = Tensor(Shape{dims[0], dims[1], dims[2], dims[3]});
-    r.floats(result.adv.raw(), static_cast<std::size_t>(result.adv.numel()));
+    result.adv = read_tensor(r, read_tensor_shape(r, /*labels=*/false));
   }
   r.expect_done();
   return result;

@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "kernels/gemm.h"
 #include "kernels/igemm.h"
+#include "kernels/im2col.h"
 #include "kernels/kernel_dispatch.h"
 #include "kernels/workspace.h"
 #include "nn/conv.h"
@@ -162,6 +165,114 @@ std::vector<std::int8_t> random_int8(std::int64_t n, std::uint64_t seed) {
         std::lround(rng.uniform(-128.0f, 127.0f)));
   }
   return v;
+}
+
+// ---------------------------------------------------------------------------
+// im2col / col2im vs naive per-tap loops over every small geometry.
+// ---------------------------------------------------------------------------
+
+/// Patch-matrix index of tap (c, kh, kw) at output (y, x).
+std::size_t patch_index(const ConvGeom& g, std::int64_t c, std::int64_t kh,
+                        std::int64_t kw, std::int64_t y, std::int64_t x) {
+  const std::int64_t row = (c * g.kernel_h + kh) * g.kernel_w + kw;
+  return static_cast<std::size_t>((row * g.out_h() + y) * g.out_w() + x);
+}
+
+/// Calls fn(patch_index, image_index or -1 for a padded tap) per tap.
+template <typename Fn>
+void for_each_tap(const ConvGeom& g, Fn fn) {
+  for (std::int64_t c = 0; c < g.in_c; ++c)
+    for (std::int64_t kh = 0; kh < g.kernel_h; ++kh)
+      for (std::int64_t kw = 0; kw < g.kernel_w; ++kw)
+        for (std::int64_t y = 0; y < g.out_h(); ++y)
+          for (std::int64_t x = 0; x < g.out_w(); ++x) {
+            const std::int64_t iy = y * g.stride - g.pad + kh;
+            const std::int64_t ix = x * g.stride - g.pad + kw;
+            const bool inside =
+                iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w;
+            fn(patch_index(g, c, kh, kw, y, x),
+               inside ? (c * g.in_h + iy) * g.in_w + ix : -1);
+          }
+}
+
+template <typename T>
+std::vector<T> naive_im2col(const std::vector<T>& image, const ConvGeom& g,
+                            T pad) {
+  std::vector<T> cols(static_cast<std::size_t>(
+      g.in_c * g.kernel_h * g.kernel_w * g.out_h() * g.out_w()));
+  for_each_tap(g, [&](std::size_t p, std::int64_t i) {
+    cols[p] = i < 0 ? pad : image[static_cast<std::size_t>(i)];
+  });
+  return cols;
+}
+
+std::vector<float> float_vector(std::int64_t n, std::uint64_t seed) {
+  const Tensor t = random_tensor(Shape{n}, seed);
+  return {t.raw(), t.raw() + n};
+}
+
+/// Every geometry with kernel 1-5 (each side), stride 1-3, pad 0-3 and
+/// input 1-9 (each side) that yields at least one output. Covers pad >=
+/// input, stride > kernel and single-column outputs.
+std::vector<ConvGeom> small_conv_geoms() {
+  std::vector<ConvGeom> geoms;
+  for (std::int64_t kh = 1; kh <= 5; ++kh)
+    for (std::int64_t kw = 1; kw <= 5; ++kw)
+      for (std::int64_t stride = 1; stride <= 3; ++stride)
+        for (std::int64_t pad = 0; pad <= 3; ++pad)
+          for (std::int64_t h = 1; h <= 9; ++h)
+            for (std::int64_t w = 1; w <= 9; ++w) {
+              const ConvGeom g{2, h, w, kh, kw, stride, pad};
+              if (h + 2 * pad >= kh && w + 2 * pad >= kw) geoms.push_back(g);
+            }
+  return geoms;
+}
+
+TEST(Im2col, SweepMatchesNaivePerTapReference) {
+  std::uint64_t seed = 0;
+  for (const ConvGeom& g : small_conv_geoms()) {
+    const std::int64_t in_n = g.in_c * g.in_h * g.in_w;
+    const auto img8 = random_int8(in_n, ++seed);
+    const auto zp =
+        static_cast<std::int8_t>(static_cast<int>(seed % 256) - 128);
+    const auto want8 = naive_im2col(img8, g, zp);
+    // Sentinel-filled, exactly sized: a missed or stray write shows up
+    // as a mismatch, an overrun as an ASan report.
+    std::vector<std::int8_t> got8(want8.size(), static_cast<std::int8_t>(~zp));
+    im2col<std::int8_t>(img8.data(), g, zp, got8.data());
+    ASSERT_EQ(got8, want8) << "int8 c" << g.in_c << " " << g.in_h << "x"
+                           << g.in_w << " k" << g.kernel_h << "x"
+                           << g.kernel_w << " s" << g.stride << " p" << g.pad;
+
+    const auto imgf = float_vector(in_n, seed);
+    const auto wantf = naive_im2col(imgf, g, 0.0f);
+    std::vector<float> gotf(wantf.size(), -7.0f);
+    im2col<float>(imgf.data(), g, 0.0f, gotf.data());
+    ASSERT_EQ(gotf, wantf) << "float " << g.in_h << "x" << g.in_w << " k"
+                           << g.kernel_h << "x" << g.kernel_w << " s"
+                           << g.stride << " p" << g.pad;
+  }
+}
+
+TEST(Col2im, SweepBitIdenticalToNaiveAccumulate) {
+  // Overlapping windows add several taps into one pixel, so any change
+  // in summation order would show up in the low bits.
+  std::uint64_t seed = 50000;
+  for (const ConvGeom& g : small_conv_geoms()) {
+    const auto cols = float_vector(
+        g.in_c * g.kernel_h * g.kernel_w * g.out_h() * g.out_w(), ++seed);
+    const auto base = float_vector(g.in_c * g.in_h * g.in_w, ++seed);
+    std::vector<float> want = base;
+    for_each_tap(g, [&](std::size_t p, std::int64_t i) {
+      if (i >= 0) want[static_cast<std::size_t>(i)] += cols[p];
+    });
+    std::vector<float> got = base;
+    col2im(cols.data(), g, got.data());
+    ASSERT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+              0)
+        << g.in_h << "x" << g.in_w << " k" << g.kernel_h << "x" << g.kernel_w
+        << " s" << g.stride << " p" << g.pad;
+  }
 }
 
 RequantChannel random_requant(std::int64_t channels, std::uint64_t seed) {
@@ -426,6 +537,62 @@ TEST(QuantOps, QaddDoubleRescaleStaysWithinOneLsbOfFloatMath) {
       ASSERT_NEAR(static_cast<int>(out[i]), static_cast<int>(want), 1)
           << "qadd round " << round << " element " << i;
     }
+  }
+}
+
+// Every int8 value once, ascending.
+std::vector<std::int8_t> all_int8() {
+  std::vector<std::int8_t> v;
+  for (int q = kQmin; q <= kQmax; ++q) v.push_back(static_cast<std::int8_t>(q));
+  return v;
+}
+
+TEST(QuantOps, QaddTableBitExactVsReferenceOverAllPairs) {
+  struct Case {
+    QuantParams a, b, out;
+    std::int32_t act_min, act_max;
+  };
+  const Case cases[] = {
+      // Extreme zero points, ratios 0.67 and 1.67.
+      {{0.02f, -128}, {0.05f, 127}, {0.03f, 0}, kQmin, kQmax},
+      // Ratios 10 and 0.4 with a narrowed clamp.
+      {{0.1f, 5}, {0.004f, -3}, {0.01f, -7}, -20, 90},
+      // All three grids equal.
+      {{0.05f, 12}, {0.05f, 12}, {0.05f, 12}, kQmin, kQmax},
+      // Ratio far below 1 and far above 1, ReLU-style clamp.
+      {{0.003f, 127}, {0.2f, -128}, {0.05f, 127}, 0, kQmax},
+  };
+  const auto values = all_int8();
+  std::vector<std::int8_t> a, b;
+  for (const std::int8_t x : values)
+    for (const std::int8_t y : values) {
+      a.push_back(x);
+      b.push_back(y);
+    }
+  int idx = 0;
+  for (const Case& c : cases) {
+    std::vector<std::int8_t> got(a.size()), want(a.size());
+    qadd(a, c.a, b, c.b, c.out, c.act_min, c.act_max, got);
+    qadd_reference(a, c.a, b, c.b, c.out, c.act_min, c.act_max, want);
+    EXPECT_EQ(got, want) << "qadd case " << idx++;
+  }
+}
+
+TEST(QuantOps, QrequantizeTableBitExactVsReferenceOverAllInputs) {
+  const std::pair<QuantParams, QuantParams> cases[] = {
+      {{0.02f, -128}, {0.05f, 127}},   // ratio 0.4
+      {{0.05f, 127}, {0.02f, -128}},   // ratio 2.5
+      {{0.1f, 3}, {0.1f, 3}},          // identical grids
+      {{0.003f, 0}, {0.3f, -128}},     // ratio 0.01
+      {{0.7f, -5}, {0.01f, 9}},        // ratio 70, saturates both ends
+  };
+  const auto in = all_int8();
+  int idx = 0;
+  for (const auto& [from, to] : cases) {
+    std::vector<std::int8_t> got(in.size()), want(in.size());
+    qrequantize(in, from, to, got);
+    qrequantize_reference(in, from, to, want);
+    EXPECT_EQ(got, want) << "qrequantize case " << idx++;
   }
 }
 

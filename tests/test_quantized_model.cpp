@@ -3,6 +3,7 @@
 // and error handling.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 
 #include "models/factory.h"
@@ -11,6 +12,7 @@
 #include "quant/qmodel_io.h"
 #include "tensor/serialize.h"
 #include "quant/quantized_model.h"
+#include "runtime/thread_pool.h"
 #include "test_helpers.h"
 
 namespace diva {
@@ -140,6 +142,54 @@ TEST(QuantizedModel, BatchForwardMatchesSingleImageForward) {
     for (std::int64_t j = 0; j < batch_logits.dim(1); ++j) {
       EXPECT_EQ(batch_logits.at(i, j),
                 out_qp.dequantize(q[static_cast<std::size_t>(j)]));
+    }
+  }
+}
+
+TEST(QuantizedModel, ParallelElementwiseMatchesInlineAndPerRowForwards) {
+  // requant / add / lut split a batch-64 span into chunks across the
+  // global pool. The same forward inside a pool worker runs every op
+  // inline, and single-image forwards never split at all; all three
+  // must give the same bytes.
+  auto densenet = calibrated_qat(Arch::kDenseNet, 30);
+  auto edge = make_edge_residual_net(10, NetMode::kQat);
+  init_parameters(*edge, 31);
+  calibrate(*edge, {random_tensor(Shape{6, 1, 28, 28}, 32, 0.0f, 1.0f)});
+  const QuantizedModel models[] = {
+      QuantizedModel::compile(*densenet, Shape{3, 32, 32}),
+      QuantizedModel::compile(*edge, Shape{1, 28, 28})};
+  EXPECT_TRUE(has_op(models[0], QOp::Kind::kRequantize));
+  EXPECT_TRUE(has_op(models[1], QOp::Kind::kAdd));
+  EXPECT_TRUE(has_op(models[1], QOp::Kind::kLut));
+
+  constexpr std::int64_t kBatch = 64;
+  std::uint64_t seed = 33;
+  for (const QuantizedModel& m : models) {
+    const Shape& img = m.slots()[static_cast<std::size_t>(
+                                     m.input_slot_index())].shape;
+    const Tensor x =
+        random_tensor(Shape{kBatch, img[0], img[1], img[2]}, ++seed, 0.0f,
+                      1.0f);
+    const Tensor parallel = m.forward(x);
+    Tensor inline_run;
+    {
+      ThreadPool pool(1);
+      pool.submit([&] { inline_run = m.forward(x); });
+    }  // the destructor runs the queued forward, then joins
+    ASSERT_EQ(parallel.shape(), inline_run.shape());
+    EXPECT_EQ(std::memcmp(parallel.raw(), inline_run.raw(),
+                          sizeof(float) *
+                              static_cast<std::size_t>(parallel.numel())),
+              0);
+
+    const QuantParams out_qp = m.output_slot().qp;
+    for (std::int64_t i = 0; i < kBatch; ++i) {
+      const auto q = m.forward_single_int8(x.raw() + i * img.numel());
+      for (std::int64_t j = 0; j < parallel.dim(1); ++j) {
+        ASSERT_EQ(parallel.at(i, j),
+                  out_qp.dequantize(q[static_cast<std::size_t>(j)]))
+            << "row " << i << " logit " << j;
+      }
     }
   }
 }

@@ -3,6 +3,7 @@
 // paths, shard-job geometry, the batching queue's coalescing contract,
 // request validation against the registry's exact error shapes, and the
 // env helpers behind the DIVA_SERVE_* knobs.
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -252,6 +253,103 @@ TEST(ServeProtocol, DecodeRejectsTruncatedPayload) {
   split_frame(encode_attack_request(sample_request()), &payload);
   payload.resize(payload.size() / 2);
   EXPECT_THROW(decode_attack_request(payload), Error);
+}
+
+/// Overwrites consecutive little-endian i64 fields of a payload.
+void put_i64s(std::vector<std::uint8_t>& payload, std::size_t at,
+              std::initializer_list<std::int64_t> values) {
+  WireWriter w;
+  for (const std::int64_t v : values) w.i64(v);
+  const auto bytes = w.take();
+  ASSERT_LE(at + bytes.size(), payload.size());
+  std::copy(bytes.begin(), bytes.end(), payload.begin() + at);
+}
+
+/// Payload of a one-image request, truncated to its dims and label.
+std::vector<std::uint8_t> request_claiming(
+    std::initializer_list<std::int64_t> dims) {
+  AttackRequest req = sample_request();
+  req.images = Tensor(Shape{1, 1, 1, 1});
+  req.labels = {0};
+  std::vector<std::uint8_t> payload;
+  split_frame(encode_attack_request(req), &payload);
+  // Tail: four i64 dims, one i32 label, one float pixel.
+  put_i64s(payload, payload.size() - 40, dims);
+  payload.resize(payload.size() - 4);
+  return payload;
+}
+
+/// Runs a decode that must throw diva::Error and returns the message,
+/// so a test can tell which check fired.
+template <typename F>
+std::string decode_error(F decode) {
+  try {
+    decode();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "decode did not throw diva::Error";
+  return "";
+}
+
+long peak_rss_kb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_maxrss;
+}
+
+TEST(ServeProtocol, DecodeRejectsOversizedDimsBeforeAllocating) {
+  // A 91-byte request whose header dims claim a 1 GiB tensor must throw
+  // without allocating (and zeroing) it first.
+  const auto payload = request_claiming({1, 1024, 1024, 256});
+  EXPECT_EQ(payload.size(), 91u);
+  const long before = peak_rss_kb();
+  const std::string msg =
+      decode_error([&] { decode_attack_request(payload); });
+  // The size check fired, not a read past the end after allocating. The
+  // RSS bound only sees growth above the process's earlier peak.
+  EXPECT_NE(msg.find("needs 1073741828 bytes, payload has 4"),
+            std::string::npos)
+      << msg;
+  EXPECT_LT(peak_rss_kb() - before, 256L * 1024) << "decoder allocated first";
+}
+
+TEST(ServeProtocol, DecodeRejectsDimsWhoseProductOverflows) {
+  // Each dim passes the per-dim cap; their product (2^96) wraps int64.
+  constexpr std::int64_t kDim = 1 << 24;
+  const auto request = request_claiming({kDim, kDim, kDim, kDim});
+  EXPECT_NE(decode_error([&] { decode_attack_request(request); })
+                .find("element count overflows"),
+            std::string::npos);
+
+  ResultChunk chunk;
+  chunk.lo = 0;
+  chunk.hi = 1;
+  chunk.adv = Tensor(Shape{1, 1, 1, 1});
+  chunk.verdicts = {{true, true, true}};
+  std::vector<std::uint8_t> payload;
+  split_frame(encode_result_chunk(chunk), &payload);
+  // Tail: four i64 dims, one float.
+  put_i64s(payload, payload.size() - 36, {kDim, kDim, kDim, kDim});
+  EXPECT_NE(decode_error([&] { decode_result_chunk(payload); })
+                .find("element count overflows"),
+            std::string::npos);
+}
+
+TEST(ServeProtocol, DecodeRejectsVerdictCountLargerThanPayload) {
+  JobResult result;
+  result.adv = Tensor(Shape{1, 1, 1, 1});
+  result.verdicts = {{false, true, false}};
+  std::vector<std::uint8_t> payload;
+  split_frame(encode_job_result(result), &payload);
+  // ticket, first_sample, seconds, empty error string, then the count
+  // (at the 2^24 cap: 48 MiB of verdicts if allocated up front).
+  put_i64s(payload, 8 + 8 + 8 + 4, {std::int64_t{1} << 24});
+  const long before = peak_rss_kb();
+  const std::string msg = decode_error([&] { decode_job_result(payload); });
+  // Rejected by the payload-size check, before the verdicts are allocated.
+  EXPECT_NE(msg.find("payload bytes"), std::string::npos) << msg;
+  EXPECT_LT(peak_rss_kb() - before, 16L * 1024) << "decoder allocated first";
 }
 
 TEST(ServeProtocol, FrameIoRoundTripsOverSocketpair) {
