@@ -153,16 +153,15 @@ void run_engine_throughput_sweep() {
   AttackConfig cfg = ExperimentDefaults::attack();
   cfg.steps = 2;
 
-  // Module-source DIVA: both gradient sources serialize behind their
-  // module mutexes, so this sweep measures engine overhead (sharding,
-  // contention), not parallel speedup — concurrency caps near 2x.
+  // Module-source DIVA: each shard backpropagates through the shared
+  // nets on its own activation tape, so shards run concurrently.
   {
     const Tensor x = eval_batch(32);
     const auto y = eval_labels(32);
     auto diva =
         make_attack("diva", resnet_targets(), {.cfg = cfg, .c = 1.0f});
     sweep_one("diva/module-sources",
-              "module sources serialize behind mutexes; overhead baseline",
+              "module sources run concurrently on per-call tapes",
               *diva, x, y, cfg.steps);
   }
 

@@ -9,10 +9,10 @@
 // to the sequential result for a fixed seed, whether the engine runs
 // with 1, 2, 4, or 8 threads.
 //
-// Stateful gradient sources (Module-backed) serialize their
-// forward/backward pairs internally; derivative-free sources (the int8
-// finite-difference adapter) run fully concurrently, which is where
-// multi-threading pays off most.
+// Every gradient source runs its shards concurrently: Module-backed
+// sources give each forward/backward pair its own activation tape, and
+// derivative-free sources (the int8 finite-difference adapter) hold no
+// per-call state at all.
 #pragma once
 
 #include <cstdint>

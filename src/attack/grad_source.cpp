@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "attack/probe_compression.h"
+#include "nn/tape.h"
 #include "runtime/env.h"
 #include "telemetry/telemetry.h"
 
@@ -32,24 +33,24 @@ ModuleGradSource::ModuleGradSource(Module& module, std::string label)
       label_(label.empty() ? module.name() : std::move(label)) {}
 
 Tensor ModuleGradSource::logits(const Tensor& x) {
-  std::lock_guard<std::mutex> lock(mu_);
+  TapeScope tape;
   return module_.forward(x);
 }
 
 Tensor ModuleGradSource::input_grad(const Tensor& x, const GradRequest& req) {
   DIVA_CHECK(req.dlogits, "ModuleGradSource needs a dlogits closure");
-  std::lock_guard<std::mutex> lock(mu_);
+  TapeScope tape;
   const Tensor l = module_.forward(x);
   return module_.backward(req.dlogits(l));
 }
 
 void ModuleGradSource::prepare() {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(prepare_mu_);
   if (prepared_++ == 0) freeze(module_);
 }
 
 void ModuleGradSource::restore() {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(prepare_mu_);
   if (--prepared_ == 0) unfreeze(module_);
 }
 
@@ -69,18 +70,18 @@ Tensor QuantSteGradSource::input_grad(const Tensor& x,
   // dlogits is computed from the *integer* model's logits, then pushed
   // through the float shadow as if quantization were the identity.
   const Tensor ql = model_.forward(x);
-  std::lock_guard<std::mutex> lock(mu_);
-  (void)shadow_.forward(x);  // populate the shadow's backward caches
+  TapeScope tape;
+  (void)shadow_.forward(x);  // records the shadow's backward state
   return shadow_.backward(req.dlogits(ql));
 }
 
 void QuantSteGradSource::prepare() {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(prepare_mu_);
   if (prepared_++ == 0) freeze(shadow_);
 }
 
 void QuantSteGradSource::restore() {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(prepare_mu_);
   if (--prepared_ == 0) unfreeze(shadow_);
 }
 

@@ -14,9 +14,10 @@
 //   values(logits)  -> per-sample scalar term values (derivative-free
 //                      sources, e.g. finite differences)
 // — and the source picks whichever representation it can use. Making
-// the forward/backward pair a single call lets stateful Module-backed
-// sources guard it with a mutex, which is what allows the AttackEngine
-// to shard one attack across threads while sharing models.
+// the forward/backward pair a single call lets Module-backed sources run
+// it under their own TapeScope (nn/tape.h): the pair's activations live
+// on a tape private to the call, so AttackEngine shards run concurrent
+// forward/backward passes through one shared network, with no lock.
 //
 // Adapters provided here:
 //   ModuleGradSource   — float/QAT Module (Sequential) via backprop.
@@ -99,10 +100,10 @@ class SourcePrepareGuard {
   const std::vector<std::shared_ptr<GradSource>>& sources_;
 };
 
-/// Backprop adapter for any Module (Sequential, QAT nets, ...). The
-/// module's forward/backward pair is stateful and non-reentrant, so the
-/// whole input_grad computation is serialized behind a mutex; parallel
-/// engine shards interleave at gradient granularity.
+/// Backprop adapter for any Module (Sequential, QAT nets, ...). Each
+/// logits/input_grad call runs on its own activation tape, so concurrent
+/// calls from engine shards need no lock; prepare()/restore() keep a
+/// small one for their nesting count.
 class ModuleGradSource : public GradSource {
  public:
   explicit ModuleGradSource(Module& module, std::string label = "");
@@ -118,7 +119,7 @@ class ModuleGradSource : public GradSource {
  private:
   Module& module_;
   std::string label_;
-  std::mutex mu_;
+  std::mutex prepare_mu_;
   int prepared_ = 0;  // nesting depth of prepare() calls
 };
 
@@ -141,8 +142,8 @@ class QuantSteGradSource : public GradSource {
   const QuantizedModel& model_;
   Module& shadow_;
   std::string label_;
-  std::mutex mu_;
-  int prepared_ = 0;
+  std::mutex prepare_mu_;
+  int prepared_ = 0;  // nesting depth of prepare() calls
 };
 
 class ProbeSubspace;  // attack/probe_compression.h

@@ -1,4 +1,5 @@
-// Pointwise activation layers.
+// Pointwise activation layers. Each records its input (Sigmoid: its
+// output) on the activation tape for backward.
 #pragma once
 
 #include <string>
@@ -13,9 +14,6 @@ class Relu : public Module {
   explicit Relu(std::string name = "relu") : Module(std::move(name)) {}
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
-
- private:
-  Tensor cached_input_;
 };
 
 /// ReLU6: y = min(6, max(0, x)) — the MobileNet activation, also friendly
@@ -25,9 +23,6 @@ class Relu6 : public Module {
   explicit Relu6(std::string name = "relu6") : Module(std::move(name)) {}
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
-
- private:
-  Tensor cached_input_;
 };
 
 /// Logistic sigmoid: y = 1 / (1 + exp(-x)).
@@ -36,9 +31,6 @@ class Sigmoid : public Module {
   explicit Sigmoid(std::string name = "sigmoid") : Module(std::move(name)) {}
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
-
- private:
-  Tensor cached_output_;
 };
 
 /// Hard sigmoid, TFLite convention: y = clamp(x / 6 + 0.5, 0, 1).
@@ -48,9 +40,6 @@ class HardSigmoid : public Module {
       : Module(std::move(name)) {}
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
-
- private:
-  Tensor cached_input_;
 };
 
 /// Leaky ReLU with fixed negative slope.
@@ -64,7 +53,6 @@ class LeakyRelu : public Module {
 
  private:
   float slope_;
-  Tensor cached_input_;
 };
 
 }  // namespace diva

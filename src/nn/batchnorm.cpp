@@ -4,6 +4,17 @@
 
 namespace diva {
 
+namespace {
+
+/// What BatchNorm2d::backward needs from its forward.
+struct BatchNormSaved {
+  Tensor xhat;  // normalized input
+  std::vector<float> inv_std;
+  bool was_training = false;
+};
+
+}  // namespace
+
 BatchNorm2d::BatchNorm2d(std::string name, std::int64_t channels, float eps,
                          float momentum)
     : Module(std::move(name)),
@@ -29,22 +40,19 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
   DIVA_CHECK(x.rank() == 4 && x.dim(1) == channels_,
              name() << ": expected [N," << channels_ << ",H,W], got "
                     << x.shape().str());
-  batch_ = x.dim(0);
-  height_ = x.dim(2);
-  width_ = x.dim(3);
-  const std::int64_t hw = height_ * width_;
-  const std::int64_t m = batch_ * hw;
-  forward_was_training_ = training();
+  const std::int64_t batch = x.dim(0);
+  const std::int64_t hw = x.dim(2) * x.dim(3);
+  const std::int64_t m = batch * hw;
+  BatchNormSaved saved{Tensor(x.shape()),
+                       std::vector<float>(static_cast<std::size_t>(channels_)),
+                       training()};
 
   Tensor out(x.shape());
-  cached_xhat_ = Tensor(x.shape());
-  cached_inv_std_.assign(static_cast<std::size_t>(channels_), 0.0f);
-
   for (std::int64_t c = 0; c < channels_; ++c) {
     float mean_c, var_c;
-    if (forward_was_training_) {
+    if (saved.was_training) {
       double s = 0.0, s2 = 0.0;
-      for (std::int64_t n = 0; n < batch_; ++n) {
+      for (std::int64_t n = 0; n < batch; ++n) {
         const float* p = x.raw() + (n * channels_ + c) * hw;
         for (std::int64_t i = 0; i < hw; ++i) {
           s += p[i];
@@ -63,11 +71,11 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
       var_c = running_var_.value[c];
     }
     const float inv_std = 1.0f / std::sqrt(var_c + eps_);
-    cached_inv_std_[static_cast<std::size_t>(c)] = inv_std;
+    saved.inv_std[static_cast<std::size_t>(c)] = inv_std;
     const float g = gamma_.value[c], b = beta_.value[c];
-    for (std::int64_t n = 0; n < batch_; ++n) {
+    for (std::int64_t n = 0; n < batch; ++n) {
       const float* p = x.raw() + (n * channels_ + c) * hw;
-      float* xh = cached_xhat_.raw() + (n * channels_ + c) * hw;
+      float* xh = saved.xhat.raw() + (n * channels_ + c) * hw;
       float* o = out.raw() + (n * channels_ + c) * hw;
       for (std::int64_t i = 0; i < hw; ++i) {
         xh[i] = (p[i] - mean_c) * inv_std;
@@ -75,38 +83,43 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
       }
     }
   }
+  save_for_backward(std::move(saved));
   return out;
 }
 
 Tensor BatchNorm2d::backward(const Tensor& grad_out) {
-  DIVA_CHECK(grad_out.shape() == cached_xhat_.shape(),
+  const auto saved = take_saved<BatchNormSaved>();
+  DIVA_CHECK(grad_out.shape() == saved.xhat.shape(),
              name() << ": bad grad shape " << grad_out.shape().str());
-  const std::int64_t hw = height_ * width_;
-  const std::int64_t m = batch_ * hw;
+  const std::int64_t batch = grad_out.dim(0);
+  const std::int64_t hw = grad_out.dim(2) * grad_out.dim(3);
+  const std::int64_t m = batch * hw;
   Tensor grad_in(grad_out.shape());
 
   for (std::int64_t c = 0; c < channels_; ++c) {
-    const float inv_std = cached_inv_std_[static_cast<std::size_t>(c)];
+    const float inv_std = saved.inv_std[static_cast<std::size_t>(c)];
     const float g = gamma_.value[c];
 
     double sum_dy = 0.0, sum_dy_xhat = 0.0;
-    for (std::int64_t n = 0; n < batch_; ++n) {
+    for (std::int64_t n = 0; n < batch; ++n) {
       const float* dy = grad_out.raw() + (n * channels_ + c) * hw;
-      const float* xh = cached_xhat_.raw() + (n * channels_ + c) * hw;
+      const float* xh = saved.xhat.raw() + (n * channels_ + c) * hw;
       for (std::int64_t i = 0; i < hw; ++i) {
         sum_dy += dy[i];
         sum_dy_xhat += static_cast<double>(dy[i]) * xh[i];
       }
     }
-    gamma_.grad[c] += static_cast<float>(sum_dy_xhat);
-    beta_.grad[c] += static_cast<float>(sum_dy);
+    if (param_grads_enabled()) {
+      gamma_.grad[c] += static_cast<float>(sum_dy_xhat);
+      beta_.grad[c] += static_cast<float>(sum_dy);
+    }
 
-    if (forward_was_training_) {
+    if (saved.was_training) {
       // Full BN backward through batch statistics.
       const float k1 = g * inv_std / static_cast<float>(m);
-      for (std::int64_t n = 0; n < batch_; ++n) {
+      for (std::int64_t n = 0; n < batch; ++n) {
         const float* dy = grad_out.raw() + (n * channels_ + c) * hw;
-        const float* xh = cached_xhat_.raw() + (n * channels_ + c) * hw;
+        const float* xh = saved.xhat.raw() + (n * channels_ + c) * hw;
         float* gi = grad_in.raw() + (n * channels_ + c) * hw;
         for (std::int64_t i = 0; i < hw; ++i) {
           gi[i] = k1 * (static_cast<float>(m) * dy[i] -
@@ -117,7 +130,7 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
     } else {
       // Eval mode: normalization constants are fixed, so BN is affine.
       const float k = g * inv_std;
-      for (std::int64_t n = 0; n < batch_; ++n) {
+      for (std::int64_t n = 0; n < batch; ++n) {
         const float* dy = grad_out.raw() + (n * channels_ + c) * hw;
         float* gi = grad_in.raw() + (n * channels_ + c) * hw;
         for (std::int64_t i = 0; i < hw; ++i) gi[i] = k * dy[i];

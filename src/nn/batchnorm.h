@@ -5,7 +5,9 @@
 // running statistics, making the layer a per-channel affine transform —
 // which is what allows exact folding into a preceding convolution
 // (nn/fold_bn.h). Eval-mode backward is supported (input gradients are
-// needed when attacking eval-mode models).
+// needed when attacking eval-mode models). gamma/beta gradients
+// accumulate only while parameter gradients are enabled, so frozen
+// backward passes write nothing to the module and may run concurrently.
 #pragma once
 
 #include <string>
@@ -37,12 +39,6 @@ class BatchNorm2d : public Module {
   float eps_, momentum_;
   Parameter gamma_, beta_;
   Parameter running_mean_, running_var_;  // buffers (trainable = false)
-
-  // Backward caches.
-  Tensor cached_xhat_;
-  std::vector<float> cached_inv_std_;
-  bool forward_was_training_ = false;
-  std::int64_t batch_ = 0, height_ = 0, width_ = 0;
 };
 
 }  // namespace diva

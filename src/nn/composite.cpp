@@ -64,17 +64,17 @@ DenseBranch::DenseBranch(std::string name, std::unique_ptr<Sequential> body)
 
 Tensor DenseBranch::forward(const Tensor& x) {
   DIVA_CHECK(x.rank() == 4, name() << ": expected NCHW");
-  input_channels_ = x.dim(1);
   Tensor grown = body_->forward(x);
+  save_for_backward(x.dim(1));
   return concat_channels(x, grown);
 }
 
 Tensor DenseBranch::backward(const Tensor& grad_out) {
-  DIVA_CHECK(grad_out.rank() == 4 && grad_out.dim(1) > input_channels_,
+  const auto input_channels = take_saved<std::int64_t>();
+  DIVA_CHECK(grad_out.rank() == 4 && grad_out.dim(1) > input_channels,
              name() << ": bad grad shape");
-  Tensor grad_passthrough = slice_channels(grad_out, 0, input_channels_);
-  Tensor grad_body =
-      slice_channels(grad_out, input_channels_, grad_out.dim(1));
+  Tensor grad_passthrough = slice_channels(grad_out, 0, input_channels);
+  Tensor grad_body = slice_channels(grad_out, input_channels, grad_out.dim(1));
   Tensor grad_x = body_->backward(grad_body);
   return add(grad_passthrough, grad_x);
 }

@@ -44,7 +44,6 @@ class DenseBranch : public Module {
 
  private:
   std::unique_ptr<Sequential> body_;
-  std::int64_t input_channels_ = 0;
 };
 
 }  // namespace diva

@@ -5,9 +5,11 @@
 // [out_c, in_c*k*k] weight matrix; batches are parallelized across the
 // thread pool. Backward is two more GEMMs over the same panels (dX via
 // the transposed weights + col2im, dW via gy x colsT, recomputed from
-// the cached input only when parameter gradients are enabled). All
-// forward caches are released when backward finishes, so attack loops
-// don't retain per-layer im2col buffers between steps.
+// the saved input only when parameter gradients are enabled). Forward
+// state lives on the activation tape (nn/tape.h) and is released when
+// backward finishes, so attack loops don't retain per-layer buffers
+// between steps. Parameter gradients are reduced from per-chunk buffers
+// in chunk order, so training is reproducible for a given pool width.
 //
 // The `effective_weight()` hook lets quantization-aware subclasses
 // (quant/QatConv2d) substitute fake-quantized weights while reusing all
@@ -46,22 +48,17 @@ class Conv2d : public Module {
   std::int64_t pad() const { return pad_; }
 
  protected:
-  /// Weights used by forward/backward. Subclasses may return a
-  /// transformed (e.g. fake-quantized) tensor; gradients accumulate to
-  /// the master weight() regardless (straight-through estimator).
-  virtual const Tensor& effective_weight() { return weight_.value; }
+  /// Weights for one forward/backward pair: a transformed (e.g.
+  /// fake-quantized) copy, or an empty tensor to use weight() as is.
+  /// Gradients accumulate to the master weight() regardless
+  /// (straight-through estimator). Must be safe to call concurrently.
+  virtual Tensor effective_weight() { return Tensor(); }
 
  private:
   std::int64_t in_c_, out_c_, kernel_, stride_, pad_;
   bool with_bias_;
   Parameter weight_;  // [out_c, in_c, k, k]
   Parameter bias_;    // [out_c]
-
-  // Cached state for backward; released when backward completes.
-  Tensor cached_input_;          // forward input (for the dW im2col)
-  const Tensor* weff_ = nullptr; // weights used by the last forward
-  ConvGeom geom_;
-  std::int64_t batch_ = 0;
 };
 
 /// Depthwise convolution: one k x k filter per channel (multiplier 1).
@@ -85,18 +82,14 @@ class DepthwiseConv2d : public Module {
   std::int64_t pad() const { return pad_; }
 
  protected:
-  virtual const Tensor& effective_weight() { return weight_.value; }
+  /// See Conv2d::effective_weight.
+  virtual Tensor effective_weight() { return Tensor(); }
 
  private:
   std::int64_t channels_, kernel_, stride_, pad_;
   bool with_bias_;
   Parameter weight_;  // [C, 1, k, k]
   Parameter bias_;    // [C]
-
-  // Released when backward completes.
-  Tensor cached_input_;
-  const Tensor* weff_ = nullptr;
-  ConvGeom geom_;
 };
 
 }  // namespace diva

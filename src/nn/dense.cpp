@@ -5,6 +5,16 @@
 
 namespace diva {
 
+namespace {
+
+/// What Dense::backward needs from its forward.
+struct DenseSaved {
+  Tensor input;  // for dW; empty when param grads are off
+  Tensor wq;     // effective_weight() of the forward; empty = weight()
+};
+
+}  // namespace
+
 Dense::Dense(std::string name, std::int64_t in_features,
              std::int64_t out_features, bool with_bias)
     : Module(std::move(name)),
@@ -26,22 +36,23 @@ Tensor Dense::forward(const Tensor& x) {
   DIVA_CHECK(x.rank() == 2 && x.dim(1) == in_f_,
              name() << ": expected [N," << in_f_ << "], got "
                     << x.shape().str());
-  // The input is only needed for dW; frozen models skip the copy.
-  cached_input_ = param_grads_enabled() ? x : Tensor();
-  weff_ = &effective_weight();
+  Tensor wq = effective_weight();
   const std::int64_t n = x.dim(0);
   Tensor out(Shape{n, out_f_});
   // out[N, out_f] = x[N, in_f] x W[in_f, out_f] + bias (per column).
-  sgemm(n, out_f_, in_f_, x.raw(), in_f_, false, weff_->raw(), out_f_, false,
+  sgemm(n, out_f_, in_f_, x.raw(), in_f_, false,
+        wq.empty() ? weight_.value.raw() : wq.raw(), out_f_, false,
         out.raw(), out_f_,
         {.bias_col = with_bias_ ? bias_.value.raw() : nullptr});
+  // The input is only needed for dW; frozen models skip the copy.
+  save_for_backward(
+      DenseSaved{param_grads_enabled() ? x : Tensor(), std::move(wq)});
   return out;
 }
 
 Tensor Dense::backward(const Tensor& grad_out) {
-  DIVA_CHECK(weff_ != nullptr,
-             name() << ": backward without a preceding forward");
-  DIVA_CHECK(!param_grads_enabled() || !cached_input_.empty(),
+  const auto saved = take_saved<DenseSaved>();
+  DIVA_CHECK(!param_grads_enabled() || !saved.input.empty(),
              name() << ": parameter gradients were enabled after a frozen "
                        "forward; rerun forward first");
   DIVA_CHECK(grad_out.rank() == 2 && grad_out.dim(1) == out_f_,
@@ -50,7 +61,7 @@ Tensor Dense::backward(const Tensor& grad_out) {
   // dW += XT dY ; db += colsum(dY) ; dX = dY WT — transposes are
   // handled inside sgemm packing, nothing is materialized.
   if (param_grads_enabled()) {
-    sgemm(in_f_, out_f_, n, cached_input_.raw(), in_f_, true, grad_out.raw(),
+    sgemm(in_f_, out_f_, n, saved.input.raw(), in_f_, true, grad_out.raw(),
           out_f_, false, weight_.grad.raw(), out_f_, {.beta = 1.0f});
     if (with_bias_) {
       for (std::int64_t i = 0; i < n; ++i) {
@@ -60,11 +71,9 @@ Tensor Dense::backward(const Tensor& grad_out) {
     }
   }
   Tensor grad_in(Shape{n, in_f_});
-  sgemm(n, in_f_, out_f_, grad_out.raw(), out_f_, false, weff_->raw(), out_f_,
-        true, grad_in.raw(), in_f_, {});
-
-  cached_input_ = Tensor();
-  weff_ = nullptr;
+  sgemm(n, in_f_, out_f_, grad_out.raw(), out_f_, false,
+        saved.wq.empty() ? weight_.value.raw() : saved.wq.raw(), out_f_, true,
+        grad_in.raw(), in_f_, {});
   return grad_in;
 }
 

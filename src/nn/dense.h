@@ -1,6 +1,7 @@
 // Fully-connected layer on rank-2 [N, D] inputs. Forward and both
 // backward products run on the blocked kernels/gemm.h sgemm (bias and
-// transposes fused); forward caches are released after backward.
+// transposes fused); forward state lives on the activation tape
+// (nn/tape.h) and is released after backward.
 #pragma once
 
 #include <string>
@@ -28,17 +29,13 @@ class Dense : public Module {
 
  protected:
   /// See Conv2d::effective_weight — hook for fake-quantized weights.
-  virtual const Tensor& effective_weight() { return weight_.value; }
+  virtual Tensor effective_weight() { return Tensor(); }
 
  private:
   std::int64_t in_f_, out_f_;
   bool with_bias_;
   Parameter weight_;  // [in_f, out_f]
   Parameter bias_;    // [out_f]
-
-  // Released when backward completes.
-  Tensor cached_input_;
-  const Tensor* weff_ = nullptr;
 };
 
 }  // namespace diva

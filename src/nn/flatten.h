@@ -13,17 +13,14 @@ class Flatten : public Module {
 
   Tensor forward(const Tensor& x) override {
     DIVA_CHECK(x.rank() >= 2, name() << ": expected rank >= 2");
-    input_shape_ = x.shape();
+    save_for_backward(x.shape());
     const std::int64_t n = x.dim(0);
     return x.reshaped(Shape{n, x.numel() / n});
   }
 
   Tensor backward(const Tensor& grad_out) override {
-    return grad_out.reshaped(input_shape_);
+    return grad_out.reshaped(take_saved<Shape>());
   }
-
- private:
-  Shape input_shape_;
 };
 
 }  // namespace diva

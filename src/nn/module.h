@@ -1,23 +1,29 @@
 // Module: the layer abstraction of the NN substrate.
 //
-// Modules are stateful layers in the classic Caffe style: forward()
-// caches whatever backward() needs; backward() receives the gradient
-// with respect to the module output and returns the gradient with
-// respect to the module input, accumulating parameter gradients along
-// the way. Exactly one forward/backward pair may be in flight per
-// module (no re-entrancy), which is all the training loops and attack
-// loops in this library require.
+// forward() computes the layer output and records what backward() will
+// need on the calling thread's activation tape (nn/tape.h); backward()
+// receives the gradient with respect to the module output, takes that
+// record back, and returns the gradient with respect to the module
+// input, accumulating parameter gradients along the way. A module holds
+// only its parameters and config, so forward/backward pairs are
+// reentrant: threads that each run under their own TapeScope may share
+// one network, as the attack engine's shards do. Parameter-gradient
+// accumulation and training-mode statistics (BatchNorm running stats,
+// fake-quant ranges) still write to the module, so concurrent pairs need
+// eval mode with parameter gradients disabled.
 //
 // Both training-mode and eval-mode backward are supported; adversarial
 // attacks differentiate eval-mode networks with respect to their input.
 #pragma once
 
+#include <any>
 #include <functional>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "nn/tape.h"
 #include "tensor/tensor.h"
 
 namespace diva {
@@ -44,12 +50,13 @@ struct NamedParameter {
 class Module {
  public:
   explicit Module(std::string name) : name_(std::move(name)) {}
-  virtual ~Module() = default;
+  virtual ~Module() { forget_on_all_tapes(this); }
 
   Module(const Module&) = delete;
   Module& operator=(const Module&) = delete;
 
-  /// Computes the layer output. Caches state for backward().
+  /// Computes the layer output. Records state for backward() on the
+  /// current tape.
   virtual Tensor forward(const Tensor& x) = 0;
 
   /// Propagates gradients: takes d(loss)/d(output), returns
@@ -89,6 +96,25 @@ class Module {
 
   /// Total number of elements across trainable parameters in the subtree.
   std::int64_t num_trainable_elements();
+
+ protected:
+  /// Records this module's state for the matching backward() on the
+  /// calling thread's current tape, replacing an earlier record.
+  template <typename T>
+  void save_for_backward(T state) const {
+    current_tape().put(this, std::move(state));
+  }
+
+  /// Takes back what the matching forward() saved. Throws when there is
+  /// none: backward without a preceding forward, or a second backward.
+  template <typename T>
+  T take_saved() const {
+    std::any saved = current_tape().take(this);
+    T* state = std::any_cast<T>(&saved);
+    DIVA_CHECK(state != nullptr,
+               name_ << ": backward without a preceding forward");
+    return std::move(*state);
+  }
 
  private:
   void collect(const std::string& prefix, std::vector<NamedParameter>& out);

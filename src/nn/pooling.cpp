@@ -4,6 +4,16 @@
 
 namespace diva {
 
+namespace {
+
+/// What MaxPool2d::backward needs from its forward.
+struct MaxPoolSaved {
+  std::vector<std::int64_t> argmax;  // flat input index per output element
+  Shape input_shape, output_shape;
+};
+
+}  // namespace
+
 MaxPool2d::MaxPool2d(std::string name, std::int64_t kernel,
                      std::int64_t stride, std::int64_t pad)
     : Module(std::move(name)),
@@ -15,14 +25,13 @@ MaxPool2d::MaxPool2d(std::string name, std::int64_t kernel,
 
 Tensor MaxPool2d::forward(const Tensor& x) {
   DIVA_CHECK(x.rank() == 4, name() << ": expected NCHW");
-  input_shape_ = x.shape();
   const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const std::int64_t oh = (h + 2 * pad_ - kernel_) / stride_ + 1;
   const std::int64_t ow = (w + 2 * pad_ - kernel_) / stride_ + 1;
   DIVA_CHECK(oh > 0 && ow > 0, name() << ": output collapses");
-  output_shape_ = Shape{n, c, oh, ow};
-  Tensor out(output_shape_);
-  argmax_.assign(static_cast<std::size_t>(out.numel()), -1);
+  MaxPoolSaved saved{{}, x.shape(), Shape{n, c, oh, ow}};
+  Tensor out(saved.output_shape);
+  saved.argmax.assign(static_cast<std::size_t>(out.numel()), -1);
 
   std::int64_t oi = 0;
   for (std::int64_t ni = 0; ni < n; ++ni) {
@@ -47,25 +56,24 @@ Tensor MaxPool2d::forward(const Tensor& x) {
             }
           }
           out[oi] = best_idx >= 0 ? best : 0.0f;
-          argmax_[static_cast<std::size_t>(oi)] = best_idx;
+          saved.argmax[static_cast<std::size_t>(oi)] = best_idx;
         }
       }
     }
   }
+  save_for_backward(std::move(saved));
   return out;
 }
 
 Tensor MaxPool2d::backward(const Tensor& grad_out) {
-  DIVA_CHECK(!argmax_.empty(), name() << ": backward without a preceding forward");
-  DIVA_CHECK(grad_out.shape() == output_shape_, name() << ": bad grad shape");
-  Tensor grad_in(input_shape_);
+  const auto saved = take_saved<MaxPoolSaved>();
+  DIVA_CHECK(grad_out.shape() == saved.output_shape,
+             name() << ": bad grad shape");
+  Tensor grad_in(saved.input_shape);
   for (std::int64_t i = 0; i < grad_out.numel(); ++i) {
-    const std::int64_t idx = argmax_[static_cast<std::size_t>(i)];
+    const std::int64_t idx = saved.argmax[static_cast<std::size_t>(i)];
     if (idx >= 0) grad_in[idx] += grad_out[i];
   }
-  // Release the argmax cache (one int64 per output element) so attack
-  // loops don't hold it across steps.
-  std::vector<std::int64_t>().swap(argmax_);
   return grad_in;
 }
 
@@ -79,9 +87,9 @@ AvgPool2d::AvgPool2d(std::string name, std::int64_t kernel,
 
 Tensor AvgPool2d::forward(const Tensor& x) {
   DIVA_CHECK(x.rank() == 4, name() << ": expected NCHW");
-  input_shape_ = x.shape();
-  geom_ = ConvGeom{x.dim(1), x.dim(2), x.dim(3), kernel_, kernel_, stride_, 0};
-  const std::int64_t oh = geom_.out_h(), ow = geom_.out_w();
+  const ConvGeom geom{x.dim(1), x.dim(2), x.dim(3), kernel_, kernel_, stride_,
+                      0};
+  const std::int64_t oh = geom.out_h(), ow = geom.out_w();
   DIVA_CHECK(oh > 0 && ow > 0, name() << ": output collapses");
   const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   Tensor out(Shape{n, c, oh, ow});
@@ -104,17 +112,21 @@ Tensor AvgPool2d::forward(const Tensor& x) {
       }
     }
   }
+  save_for_backward(x.shape());
   return out;
 }
 
 Tensor AvgPool2d::backward(const Tensor& grad_out) {
-  const std::int64_t oh = geom_.out_h(), ow = geom_.out_w();
-  DIVA_CHECK(grad_out.rank() == 4 && grad_out.dim(2) == oh &&
+  const auto input_shape = take_saved<Shape>();
+  const std::int64_t n = input_shape[0], c = input_shape[1],
+                     h = input_shape[2], w = input_shape[3];
+  const std::int64_t oh = (h - kernel_) / stride_ + 1;
+  const std::int64_t ow = (w - kernel_) / stride_ + 1;
+  DIVA_CHECK(grad_out.rank() == 4 && grad_out.dim(0) == n &&
+                 grad_out.dim(1) == c && grad_out.dim(2) == oh &&
                  grad_out.dim(3) == ow,
              name() << ": bad grad shape");
-  Tensor grad_in(input_shape_);
-  const std::int64_t n = input_shape_[0], c = input_shape_[1],
-                     h = input_shape_[2], w = input_shape_[3];
+  Tensor grad_in(input_shape);
   const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
   for (std::int64_t ni = 0; ni < n; ++ni) {
     for (std::int64_t ci = 0; ci < c; ++ci) {
@@ -137,7 +149,6 @@ Tensor AvgPool2d::backward(const Tensor& grad_out) {
 
 Tensor GlobalAvgPool::forward(const Tensor& x) {
   DIVA_CHECK(x.rank() == 4, name() << ": expected NCHW");
-  input_shape_ = x.shape();
   const std::int64_t n = x.dim(0), c = x.dim(1);
   const std::int64_t hw = x.dim(2) * x.dim(3);
   Tensor out(Shape{n, c});
@@ -150,16 +161,18 @@ Tensor GlobalAvgPool::forward(const Tensor& x) {
       out.at(ni, ci) = acc * inv;
     }
   }
+  save_for_backward(x.shape());
   return out;
 }
 
 Tensor GlobalAvgPool::backward(const Tensor& grad_out) {
-  DIVA_CHECK(grad_out.rank() == 2 && grad_out.dim(0) == input_shape_[0] &&
-                 grad_out.dim(1) == input_shape_[1],
+  const auto input_shape = take_saved<Shape>();
+  DIVA_CHECK(grad_out.rank() == 2 && grad_out.dim(0) == input_shape[0] &&
+                 grad_out.dim(1) == input_shape[1],
              name() << ": bad grad shape");
-  Tensor grad_in(input_shape_);
-  const std::int64_t n = input_shape_[0], c = input_shape_[1];
-  const std::int64_t hw = input_shape_[2] * input_shape_[3];
+  Tensor grad_in(input_shape);
+  const std::int64_t n = input_shape[0], c = input_shape[1];
+  const std::int64_t hw = input_shape[2] * input_shape[3];
   const float inv = 1.0f / static_cast<float>(hw);
   for (std::int64_t ni = 0; ni < n; ++ni) {
     for (std::int64_t ci = 0; ci < c; ++ci) {

@@ -9,7 +9,7 @@
 
 namespace diva {
 
-/// Max pooling with square window. Caches argmax indices for backward.
+/// Max pooling with square window. Records argmax indices for backward.
 class MaxPool2d : public Module {
  public:
   MaxPool2d(std::string name, std::int64_t kernel, std::int64_t stride = 0,
@@ -24,9 +24,6 @@ class MaxPool2d : public Module {
 
  private:
   std::int64_t kernel_, stride_, pad_;
-  std::vector<std::int64_t> argmax_;  // flat input index per output element
-  Shape input_shape_;
-  Shape output_shape_;
 };
 
 /// Average pooling with square window (zero padding contributes zeros but
@@ -43,8 +40,6 @@ class AvgPool2d : public Module {
 
  private:
   std::int64_t kernel_, stride_;
-  Shape input_shape_;
-  ConvGeom geom_;
 };
 
 /// Global average pooling: [N,C,H,W] -> [N,C].
@@ -54,9 +49,6 @@ class GlobalAvgPool : public Module {
 
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
-
- private:
-  Shape input_shape_;
 };
 
 }  // namespace diva

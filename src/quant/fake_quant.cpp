@@ -72,30 +72,33 @@ Tensor ActFakeQuant::forward(const Tensor& x) {
     }
   }
 
+  // The saved STE clipping mask is 1 where the gradient passes; an
+  // empty mask records a pass-through forward.
   if (!initialized() || !quantize_enabled_) {
-    forward_quantized_ = false;
+    save_for_backward(Tensor());
     return x;
   }
 
-  forward_quantized_ = true;
   const QuantParams qp = qparams();
   // Representable real range for the STE clipping mask.
   const float lo = (static_cast<float>(kQmin) - qp.zero_point) * qp.scale;
   const float hi = (static_cast<float>(kQmax) - qp.zero_point) * qp.scale;
-  cached_pass_mask_ = Tensor(x.shape());
+  Tensor pass_mask(x.shape());
   for (std::int64_t i = 0; i < x.numel(); ++i) {
-    cached_pass_mask_[i] = (x[i] >= lo && x[i] <= hi) ? 1.0f : 0.0f;
+    pass_mask[i] = (x[i] >= lo && x[i] <= hi) ? 1.0f : 0.0f;
   }
+  save_for_backward(std::move(pass_mask));
   return fake_quantize(x, qp);
 }
 
 Tensor ActFakeQuant::backward(const Tensor& grad_out) {
-  if (!forward_quantized_) return grad_out;
-  DIVA_CHECK(grad_out.shape() == cached_pass_mask_.shape(),
+  const auto pass_mask = take_saved<Tensor>();
+  if (pass_mask.empty()) return grad_out;
+  DIVA_CHECK(grad_out.shape() == pass_mask.shape(),
              name() << ": bad grad shape");
   Tensor grad_in(grad_out.shape());
   for (std::int64_t i = 0; i < grad_out.numel(); ++i) {
-    grad_in[i] = grad_out[i] * cached_pass_mask_[i];
+    grad_in[i] = grad_out[i] * pass_mask[i];
   }
   return grad_in;
 }

@@ -4,7 +4,8 @@
 // graph: forward quantize-dequantizes through the affine grid; backward
 // is the straight-through estimator with clipping (gradients pass where
 // the input fell inside the representable range, and are zeroed where it
-// was clipped). In training mode the layer also maintains an exponential
+// was clipped; the clipping mask goes on the activation tape, nn/tape.h).
+// In training mode the layer also maintains an exponential
 // moving average of the observed min/max (TF MovingAverageQuantize
 // behavior); in eval mode it quantizes with the frozen range.
 //
@@ -61,8 +62,6 @@ class ActFakeQuant : public Module {
   bool quantize_enabled_ = true;
   // Buffer {min, max, initialized-flag}; persisted with checkpoints.
   Parameter range_;
-  Tensor cached_pass_mask_;  // 1 where gradient passes (STE clipping)
-  bool forward_quantized_ = false;
 };
 
 }  // namespace diva

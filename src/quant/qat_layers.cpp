@@ -13,16 +13,12 @@ std::vector<float> QatConv2d::effective_scales() {
   return std::vector<float>(static_cast<std::size_t>(out_channels()), s);
 }
 
-const Tensor& QatConv2d::effective_weight() {
-  const auto scales = effective_scales();
-  fq_weight_ = fake_quantize_per_channel(weight().value, scales);
-  return fq_weight_;
+Tensor QatConv2d::effective_weight() {
+  return fake_quantize_per_channel(weight().value, effective_scales());
 }
 
-const Tensor& QatDepthwiseConv2d::effective_weight() {
-  const auto scales = weight_scales();
-  fq_weight_ = fake_quantize_per_channel(weight().value, scales);
-  return fq_weight_;
+Tensor QatDepthwiseConv2d::effective_weight() {
+  return fake_quantize_per_channel(weight().value, weight_scales());
 }
 
 std::vector<float> QatDense::weight_scales() const {
@@ -42,14 +38,14 @@ std::vector<float> QatDense::weight_scales() const {
   return scales;
 }
 
-const Tensor& QatDense::effective_weight() {
+Tensor QatDense::effective_weight() {
   const auto scales = weight_scales();
   const Tensor& w = weight().value;
   const std::int64_t in = w.dim(0), out = w.dim(1);
-  fq_weight_ = Tensor(w.shape());
+  Tensor fq_weight(w.shape());
   for (std::int64_t i = 0; i < in; ++i) {
     const float* row = w.raw() + i * out;
-    float* orow = fq_weight_.raw() + i * out;
+    float* orow = fq_weight.raw() + i * out;
     for (std::int64_t j = 0; j < out; ++j) {
       const float s = scales[static_cast<std::size_t>(j)];
       const auto q = static_cast<std::int32_t>(std::lround(row[j] / s));
@@ -57,7 +53,7 @@ const Tensor& QatDense::effective_weight() {
           static_cast<float>(std::clamp<std::int32_t>(q, kQmin, kQmax)) * s;
     }
   }
-  return fq_weight_;
+  return fq_weight;
 }
 
 }  // namespace diva

@@ -2,7 +2,8 @@
 //
 // Each QAT layer derives from its float counterpart and overrides
 // effective_weight() to run the forward/backward pass with per-channel
-// fake-quantized weights. Gradients land on the float master weights
+// fake-quantized weights, built fresh for each forward and carried to
+// backward on the activation tape. Gradients land on the float master weights
 // (straight-through estimator), exactly the QAT training scheme of
 // Jacob et al. (CVPR'18) that the paper's pipeline (tfmot) implements.
 //
@@ -37,10 +38,9 @@ class QatConv2d : public Conv2d {
   std::vector<float> effective_scales();
 
  protected:
-  const Tensor& effective_weight() override;
+  Tensor effective_weight() override;
 
  private:
-  Tensor fq_weight_;
   bool per_tensor_ = false;
 };
 
@@ -54,10 +54,7 @@ class QatDepthwiseConv2d : public DepthwiseConv2d {
   }
 
  protected:
-  const Tensor& effective_weight() override;
-
- private:
-  Tensor fq_weight_;
+  Tensor effective_weight() override;
 };
 
 class QatDense : public Dense {
@@ -69,10 +66,7 @@ class QatDense : public Dense {
   std::vector<float> weight_scales() const;
 
  protected:
-  const Tensor& effective_weight() override;
-
- private:
-  Tensor fq_weight_;
+  Tensor effective_weight() override;
 };
 
 }  // namespace diva

@@ -1,6 +1,7 @@
 #include "runtime/thread_pool.h"
 
 #include <pthread.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <atomic>
@@ -12,12 +13,22 @@ namespace {
 // Nested fan-outs from inside a worker run inline instead of enqueueing
 // (which could deadlock if every worker blocked waiting on queued tasks).
 thread_local const ThreadPool* t_worker_of = nullptr;
+
+/// CPUs the calling thread may run on.
+unsigned affinity_width() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int n = CPU_COUNT(&set);
+    if (n > 0) return static_cast<unsigned>(n);
+  }
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
 }  // namespace
 
 ThreadPool::ThreadPool(unsigned threads) {
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
+  if (threads == 0) threads = affinity_width();
   workers_.reserve(threads);
   for (unsigned i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -58,31 +69,42 @@ void ThreadPool::worker_loop() {
 
 namespace {
 
-// The global pool lives behind a pointer so a forked child can replace
+// The global pool lives behind a pointer so a forked child can drop
 // it: pool threads do not survive fork(), and a parallel_for against
 // the parent's dead pool would block forever (the attack-serve workers
 // are forked processes that run tensor ops). The atfork child handler
-// abandons the inherited object — touching its mutex/threads would be
-// unsafe if the fork happened mid-operation — and builds a fresh pool
-// of the same width. The leak is one pool per fork, in processes that
-// _exit anyway.
-ThreadPool* g_pool = nullptr;
-unsigned g_pool_threads = 0;
+// abandons the inherited object (touching its mutex or threads would be
+// unsafe if the fork happened mid-operation); the child's first
+// global_pool() then builds a fresh one, after a serve worker has pinned
+// itself, so its width matches the worker's cores. The leak is one pool
+// per fork, in processes that _exit anyway. g_pool_mu is held across
+// fork() so the child never inherits it locked.
+std::atomic<ThreadPool*> g_pool{nullptr};
+std::mutex g_pool_mu;
 
-void rebuild_pool_in_forked_child() {
-  if (g_pool != nullptr) g_pool = new ThreadPool(g_pool_threads);
+void lock_pool_for_fork() { g_pool_mu.lock(); }
+void unlock_pool_after_fork() { g_pool_mu.unlock(); }
+void drop_pool_in_forked_child() {
+  g_pool.store(nullptr, std::memory_order_relaxed);
+  g_pool_mu.unlock();
 }
 
 }  // namespace
 
 ThreadPool& global_pool() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    g_pool = new ThreadPool();
-    g_pool_threads = g_pool->size();
-    ::pthread_atfork(nullptr, nullptr, rebuild_pool_in_forked_child);
-  });
-  return *g_pool;
+  if (ThreadPool* p = g_pool.load(std::memory_order_acquire)) return *p;
+  std::lock_guard<std::mutex> lock(g_pool_mu);
+  ThreadPool* p = g_pool.load(std::memory_order_relaxed);
+  if (p == nullptr) {
+    static std::once_flag atfork_once;
+    std::call_once(atfork_once, [] {
+      ::pthread_atfork(lock_pool_for_fork, unlock_pool_after_fork,
+                       drop_pool_in_forked_child);
+    });
+    p = new ThreadPool();
+    g_pool.store(p, std::memory_order_release);
+  }
+  return *p;
 }
 
 void fork_join(ThreadPool* pool, std::int64_t count,
@@ -119,23 +141,29 @@ void fork_join(ThreadPool* pool, std::int64_t count,
   if (first_error) std::rethrow_exception(first_error);
 }
 
+ChunkPlan plan_chunks(std::int64_t n, std::int64_t grain) {
+  if (n <= 0) return {};
+  if (t_worker_of != nullptr) return {n, 1};
+  const std::int64_t max_chunks =
+      static_cast<std::int64_t>(global_pool().size()) * 4;
+  const std::int64_t size =
+      std::max<std::int64_t>(grain, (n + max_chunks - 1) / max_chunks);
+  return {size, (n + size - 1) / size};
+}
+
 void parallel_for_chunked(
     std::int64_t begin, std::int64_t end,
     const std::function<void(std::int64_t, std::int64_t)>& fn,
     std::int64_t grain) {
-  const std::int64_t n = end - begin;
-  if (n <= 0) return;
-  if (t_worker_of != nullptr) {
+  const ChunkPlan plan = plan_chunks(end - begin, grain);
+  if (plan.count == 0) return;
+  if (plan.count == 1) {
     fn(begin, end);
     return;
   }
-  ThreadPool& pool = global_pool();
-  const std::int64_t max_chunks = static_cast<std::int64_t>(pool.size()) * 4;
-  const std::int64_t chunk =
-      std::max<std::int64_t>(grain, (n + max_chunks - 1) / max_chunks);
-  fork_join(&pool, (n + chunk - 1) / chunk, [&](std::int64_t c) {
-    const std::int64_t lo = begin + c * chunk;
-    fn(lo, std::min(end, lo + chunk));
+  fork_join(&global_pool(), plan.count, [&](std::int64_t c) {
+    const std::int64_t lo = begin + c * plan.size;
+    fn(lo, std::min(end, lo + plan.size));
   });
 }
 

@@ -20,7 +20,9 @@ namespace diva {
 /// Fixed-size pool of worker threads executing std::function jobs.
 class ThreadPool {
  public:
-  /// Creates `threads` workers (defaults to hardware concurrency, min 1).
+  /// Creates `threads` workers. 0 means one per CPU the calling thread
+  /// may run on (its affinity mask), so a process pinned to k cores
+  /// builds a k-wide pool.
   explicit ThreadPool(unsigned threads = 0);
   /// Runs every job still queued, then joins the workers.
   ~ThreadPool();
@@ -44,7 +46,9 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
-/// Process-wide pool used by parallel_for. Lazily constructed.
+/// Process-wide pool used by parallel_for. Lazily constructed, as
+/// ThreadPool(0), by the first caller; a forked child drops the pool it
+/// inherits and builds its own on first use.
 ThreadPool& global_pool();
 
 /// Runs fn(i) for i in [0, count) on `pool`, blocks until every task has
@@ -63,7 +67,20 @@ void parallel_for(std::int64_t begin, std::int64_t end,
                   const std::function<void(std::int64_t)>& fn,
                   std::int64_t grain = 1);
 
-/// Chunked variant: fn(chunk_begin, chunk_end) per chunk, fewer closures.
+/// How parallel_for_chunked splits `n` iterations when called from this
+/// thread: `count` contiguous chunks of `size` iterations (the last may
+/// be shorter), chunk c starting at begin + c * size. One chunk inside
+/// any pool's worker. Callers that keep one buffer per chunk size them
+/// with this and reduce them in chunk order, which makes the result
+/// independent of the order in which chunks finish.
+struct ChunkPlan {
+  std::int64_t size = 0;
+  std::int64_t count = 0;
+};
+ChunkPlan plan_chunks(std::int64_t n, std::int64_t grain = 1);
+
+/// Chunked variant: fn(chunk_begin, chunk_end) per chunk of
+/// plan_chunks(end - begin, grain), fewer closures.
 void parallel_for_chunked(
     std::int64_t begin, std::int64_t end,
     const std::function<void(std::int64_t, std::int64_t)>& fn,

@@ -52,9 +52,8 @@ struct ServeConfig {
   /// AF_UNIX socket path the front-end listens on (required; unlinked
   /// on bind and on stop).
   std::string socket_path;
-  /// Worker processes. Each owns its own model copies (fork) — this is
-  /// the sharding axis that scales past the mutex-serialized backprop
-  /// limit of a single process.
+  /// Worker processes. Each owns its own model copies (fork) and its own
+  /// global thread pool, sized to the cores it is pinned to.
   unsigned workers = 2;
   /// Threads in each worker's pool (shards of one batch run in
   /// parallel, exactly like AttackEngine).

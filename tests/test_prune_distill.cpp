@@ -1,6 +1,8 @@
 // Pruning and distillation tests.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/trainer.h"
 #include "data/synth_digits.h"
 #include "distill/distill.h"
@@ -147,6 +149,7 @@ TEST(Distill, StudentLearnsToAgreeWithTeacher) {
   cfg.seed = 7;
   distill(*student, teacher_fn, f.pool.images, cfg);
   const float after = agreement(*student, teacher_fn, f.val.images);
+  RecordProperty("agreement", std::to_string(after));
   EXPECT_GT(after, before + 0.3f);
   EXPECT_GT(after, 0.7f);
 }

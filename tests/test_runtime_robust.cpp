@@ -1,5 +1,6 @@
 // Thread-pool/parallel_for tests plus robust-training behavior.
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <array>
 #include <atomic>
@@ -58,6 +59,42 @@ TEST(ParallelFor, ChunkedPartitionIsDisjointAndComplete) {
     for (std::int64_t i = lo; i < hi; ++i) hits[static_cast<std::size_t>(i)]++;
   }, /*grain=*/7);
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelFor, ChunkPlanMatchesTheChunksParallelForRuns) {
+  for (const std::int64_t grain : {1, 7}) {
+    const ChunkPlan plan = plan_chunks(503, grain);
+    std::vector<std::atomic<int>> seen(static_cast<std::size_t>(plan.count));
+    parallel_for_chunked(3, 506, [&](std::int64_t lo, std::int64_t hi) {
+      EXPECT_EQ((lo - 3) % plan.size, 0);
+      EXPECT_LE(hi - lo, plan.size);
+      seen[static_cast<std::size_t>((lo - 3) / plan.size)]++;
+    }, grain);
+    for (auto& s : seen) EXPECT_EQ(s.load(), 1);
+  }
+}
+
+TEST(ThreadPool, DefaultWidthFollowsTheCallersAffinityMask) {
+  // A thread narrowed to k CPUs (as a pinned serve worker is) builds a
+  // k-wide default pool, whatever the machine's core count.
+  cpu_set_t all;
+  CPU_ZERO(&all);
+  ASSERT_EQ(::sched_getaffinity(0, sizeof(all), &all), 0);
+  std::vector<int> cpus;
+  for (int c = 0; c < CPU_SETSIZE && cpus.size() < 2; ++c) {
+    if (CPU_ISSET(c, &all)) cpus.push_back(c);
+  }
+  for (std::size_t k = 1; k <= cpus.size(); ++k) {
+    unsigned width = 0;
+    std::thread([&] {
+      cpu_set_t narrow;
+      CPU_ZERO(&narrow);
+      for (std::size_t i = 0; i < k; ++i) CPU_SET(cpus[i], &narrow);
+      ASSERT_EQ(::sched_setaffinity(0, sizeof(narrow), &narrow), 0);
+      width = ThreadPool{}.size();
+    }).join();
+    EXPECT_EQ(width, k);
+  }
 }
 
 TEST(ThreadPool, RunsSubmittedJobs) {
