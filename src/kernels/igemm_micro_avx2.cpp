@@ -27,7 +27,7 @@ constexpr std::int64_t kKu = 2;
 // A panel: [g][mr][2] int16 — a row's k-pair sits adjacent so the
 // microkernel broadcasts it as one 32-bit lane.
 void pack_a(const std::int8_t* a, std::int64_t lda, std::int64_t i0,
-            std::int64_t mr, std::int64_t p0, std::int64_t kc, void* out_v) {
+            std::int64_t mr, std::int64_t kc, void* out_v) {
   auto* out = static_cast<std::int16_t*>(out_v);
   const std::int64_t groups = (kc + kKu - 1) / kKu;
   for (std::int64_t g = 0; g < groups; ++g) {
@@ -36,7 +36,7 @@ void pack_a(const std::int8_t* a, std::int64_t lda, std::int64_t i0,
         const std::int64_t p = g * kKu + t;
         out[(g * kMr + r) * kKu + t] =
             (r < mr && p < kc)
-                ? static_cast<std::int16_t>(a[(i0 + r) * lda + p0 + p])
+                ? static_cast<std::int16_t>(a[(i0 + r) * lda + p])
                 : 0;
       }
     }
@@ -45,18 +45,32 @@ void pack_a(const std::int8_t* a, std::int64_t lda, std::int64_t i0,
 
 // B panel: [g][nr][2] int16 — a column's k-pair occupies one 32-bit
 // lane, so vpmaddwd against the broadcast A pair yields that column's
-// two-term dot product.
-void pack_b(const std::int8_t* b, std::int64_t ldb, std::int64_t p0,
-            std::int64_t kc, std::int64_t j0, std::int64_t nr, void* out_v) {
+// two-term dot product. A full group (a k pair, all 16 columns)
+// interleaves the two rows bytewise and sign-extends each half to
+// int16; the trailing odd k and a narrow last strip take the
+// per-element loop.
+void pack_b(const std::int8_t* b, std::int64_t ldb, std::int64_t kc,
+            std::int64_t j0, std::int64_t nr, void* out_v) {
   auto* out = static_cast<std::int16_t*>(out_v);
   const std::int64_t groups = (kc + kKu - 1) / kKu;
-  for (std::int64_t g = 0; g < groups; ++g) {
+  const std::int64_t simd_groups = nr == kNr ? kc / kKu : 0;
+  for (std::int64_t g = 0; g < simd_groups; ++g) {
+    const std::int8_t* src = b + g * kKu * ldb + j0;
+    const __m128i r0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src));
+    const __m128i r1 =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + ldb));
+    auto* dst = reinterpret_cast<__m256i*>(out + g * kNr * kKu);
+    _mm256_storeu_si256(dst, _mm256_cvtepi8_epi16(_mm_unpacklo_epi8(r0, r1)));
+    _mm256_storeu_si256(dst + 1,
+                        _mm256_cvtepi8_epi16(_mm_unpackhi_epi8(r0, r1)));
+  }
+  for (std::int64_t g = simd_groups; g < groups; ++g) {
     for (std::int64_t j = 0; j < kNr; ++j) {
       for (std::int64_t t = 0; t < kKu; ++t) {
         const std::int64_t p = g * kKu + t;
         out[(g * kNr + j) * kKu + t] =
             (j < nr && p < kc)
-                ? static_cast<std::int16_t>(b[(p0 + p) * ldb + j0 + j])
+                ? static_cast<std::int16_t>(b[p * ldb + j0 + j])
                 : 0;
       }
     }
@@ -70,10 +84,8 @@ void micro(const void* ap_v, const void* bp_v, std::int64_t kc,
   const std::int64_t groups = (kc + kKu - 1) / kKu;
   __m256i c[kMr][2];
   for (std::int64_t r = 0; r < kMr; ++r) {
-    c[r][0] = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(acc + r * kNr));
-    c[r][1] = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(acc + r * kNr + 8));
+    c[r][0] = _mm256_setzero_si256();
+    c[r][1] = _mm256_setzero_si256();
   }
   for (std::int64_t g = 0; g < groups; ++g) {
     const std::int16_t* bg = bp + g * kNr * kKu;

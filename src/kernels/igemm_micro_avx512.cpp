@@ -25,7 +25,7 @@ constexpr std::int64_t kNr = 32;
 constexpr std::int64_t kKu = 2;
 
 void pack_a(const std::int8_t* a, std::int64_t lda, std::int64_t i0,
-            std::int64_t mr, std::int64_t p0, std::int64_t kc, void* out_v) {
+            std::int64_t mr, std::int64_t kc, void* out_v) {
   auto* out = static_cast<std::int16_t*>(out_v);
   const std::int64_t groups = (kc + kKu - 1) / kKu;
   for (std::int64_t g = 0; g < groups; ++g) {
@@ -34,24 +34,44 @@ void pack_a(const std::int8_t* a, std::int64_t lda, std::int64_t i0,
         const std::int64_t p = g * kKu + t;
         out[(g * kMr + r) * kKu + t] =
             (r < mr && p < kc)
-                ? static_cast<std::int16_t>(a[(i0 + r) * lda + p0 + p])
+                ? static_cast<std::int16_t>(a[(i0 + r) * lda + p])
                 : 0;
       }
     }
   }
 }
 
-void pack_b(const std::int8_t* b, std::int64_t ldb, std::int64_t p0,
-            std::int64_t kc, std::int64_t j0, std::int64_t nr, void* out_v) {
+// A full group (a k pair, all 32 columns) interleaves the two rows
+// bytewise (each 128-bit lane then holds eight columns' pairs, lanes in
+// the order [0-7 | 16-23] and [8-15 | 24-31]), puts the lanes back in
+// column order with permute2x128, and sign-extends to int16. The
+// trailing odd k and a narrow last strip take the per-element loop.
+void pack_b(const std::int8_t* b, std::int64_t ldb, std::int64_t kc,
+            std::int64_t j0, std::int64_t nr, void* out_v) {
   auto* out = static_cast<std::int16_t*>(out_v);
   const std::int64_t groups = (kc + kKu - 1) / kKu;
-  for (std::int64_t g = 0; g < groups; ++g) {
+  const std::int64_t simd_groups = nr == kNr ? kc / kKu : 0;
+  for (std::int64_t g = 0; g < simd_groups; ++g) {
+    const std::int8_t* src = b + g * kKu * ldb + j0;
+    const __m256i r0 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src));
+    const __m256i r1 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + ldb));
+    const __m256i lo = _mm256_unpacklo_epi8(r0, r1);
+    const __m256i hi = _mm256_unpackhi_epi8(r0, r1);
+    std::int16_t* dst = out + g * kNr * kKu;
+    _mm512_storeu_si512(dst, _mm512_cvtepi8_epi16(
+                                 _mm256_permute2x128_si256(lo, hi, 0x20)));
+    _mm512_storeu_si512(dst + 32, _mm512_cvtepi8_epi16(
+                                      _mm256_permute2x128_si256(lo, hi, 0x31)));
+  }
+  for (std::int64_t g = simd_groups; g < groups; ++g) {
     for (std::int64_t j = 0; j < kNr; ++j) {
       for (std::int64_t t = 0; t < kKu; ++t) {
         const std::int64_t p = g * kKu + t;
         out[(g * kNr + j) * kKu + t] =
             (j < nr && p < kc)
-                ? static_cast<std::int16_t>(b[(p0 + p) * ldb + j0 + j])
+                ? static_cast<std::int16_t>(b[p * ldb + j0 + j])
                 : 0;
       }
     }
@@ -65,8 +85,8 @@ void micro(const void* ap_v, const void* bp_v, std::int64_t kc,
   const std::int64_t groups = (kc + kKu - 1) / kKu;
   __m512i c[kMr][2];
   for (std::int64_t r = 0; r < kMr; ++r) {
-    c[r][0] = _mm512_loadu_si512(acc + r * kNr);
-    c[r][1] = _mm512_loadu_si512(acc + r * kNr + 16);
+    c[r][0] = _mm512_setzero_si512();
+    c[r][1] = _mm512_setzero_si512();
   }
   for (std::int64_t g = 0; g < groups; ++g) {
     const std::int16_t* bg = bp + g * kNr * kKu;

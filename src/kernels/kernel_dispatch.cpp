@@ -156,6 +156,13 @@ std::vector<IsaTier> available_isa_tiers() {
   return tiers;
 }
 
+IgemmVariant igemm_variant_for(IsaTier tier) {
+  DIVA_CHECK(tier_runnable(tier),
+             "isa tier " << isa_tier_name(tier)
+                         << " is not runnable on this host/build");
+  return make_dispatch(tier).igemm;
+}
+
 void force_isa_tier(IsaTier tier) {
   DIVA_CHECK(tier_runnable(tier),
              "isa tier " << isa_tier_name(tier)

@@ -65,35 +65,34 @@ struct SgemmVariant {
 /// private (k-group interleave and element width differ per tier), so
 /// the variant owns pack_a/pack_b and the driver only sizes buffers.
 ///
-/// pack_a/pack_b write ceil(kc / k_unroll) k-groups, zero-padding rows
-/// beyond mr_actual / columns beyond nr_actual / k positions beyond kc
-/// (zero A entries make every padded product exactly zero). micro
-/// accumulates acc[mr][nr] += sum_p a[p] * b_packed[p][j] where
-/// b_packed holds b + b_zp_bias (the VNNI u8 path packs b ^ 0x80, i.e.
-/// b + 128); the driver folds b_zp_bias into the hoisted zero-point
-/// correction, keeping every tier bit-identical to igemm_reference.
+/// Panels always span the whole K. pack_a/pack_b write ceil(k /
+/// k_unroll) k-groups, zero-padding rows beyond mr_actual / columns
+/// beyond nr_actual / k positions beyond k (zero A entries make every
+/// padded product exactly zero). micro overwrites
+/// acc[mr][nr] = sum_p a[p] * b_packed[p][j], where b_packed holds
+/// b + b_zp_bias (the VNNI u8 path packs b ^ 0x80, i.e. b + 128); the
+/// driver folds b_zp_bias into the hoisted zero-point correction,
+/// keeping every tier bit-identical to igemm_reference.
 struct IgemmVariant {
   const char* name;
   std::int64_t mr, nr, k_unroll;
   std::int32_t b_zp_bias;
   std::size_t a_elem_bytes, b_elem_bytes;
   void (*pack_a)(const std::int8_t* a, std::int64_t lda, std::int64_t i0,
-                 std::int64_t mr_actual, std::int64_t p0, std::int64_t kc,
-                 void* out);
-  void (*pack_b)(const std::int8_t* b, std::int64_t ldb, std::int64_t p0,
-                 std::int64_t kc, std::int64_t j0, std::int64_t nr_actual,
-                 void* out);
-  void (*micro)(const void* ap, const void* bp, std::int64_t kc,
+                 std::int64_t mr_actual, std::int64_t k, void* out);
+  void (*pack_b)(const std::int8_t* b, std::int64_t ldb, std::int64_t k,
+                 std::int64_t j0, std::int64_t nr_actual, void* out);
+  void (*micro)(const void* ap, const void* bp, std::int64_t k,
                 std::int32_t* acc);
 
-  std::int64_t padded_k(std::int64_t kc) const {
-    return (kc + k_unroll - 1) / k_unroll * k_unroll;
+  std::int64_t padded_k(std::int64_t k) const {
+    return (k + k_unroll - 1) / k_unroll * k_unroll;
   }
-  std::size_t a_panel_bytes(std::int64_t kc) const {
-    return static_cast<std::size_t>(padded_k(kc) * mr) * a_elem_bytes;
+  std::size_t a_panel_bytes(std::int64_t k) const {
+    return static_cast<std::size_t>(padded_k(k) * mr) * a_elem_bytes;
   }
-  std::size_t b_panel_bytes(std::int64_t kc) const {
-    return static_cast<std::size_t>(padded_k(kc) * nr) * b_elem_bytes;
+  std::size_t b_panel_bytes(std::int64_t k) const {
+    return static_cast<std::size_t>(padded_k(k) * nr) * b_elem_bytes;
   }
 };
 
@@ -135,6 +134,15 @@ IsaTier active_isa_tier();
 /// Tiers this process can actually execute (compiled in AND supported
 /// by the host CPU), ascending. Always contains kScalar.
 std::vector<IsaTier> available_isa_tiers();
+
+/// Number of IsaTier values, for tables indexed by tier.
+inline constexpr std::size_t kNumIsaTiers =
+    static_cast<std::size_t>(IsaTier::kAvx512Vnni) + 1;
+
+/// The igemm variant `tier` dispatches to (must be in
+/// available_isa_tiers(); throws otherwise), whatever the active tier:
+/// weights are packed ahead of time for every runnable tier.
+IgemmVariant igemm_variant_for(IsaTier tier);
 
 /// Forces the dispatch to `tier` (must be in available_isa_tiers();
 /// throws otherwise). For per-tier parity tests and interleaved A/B

@@ -6,6 +6,7 @@
 
 #include "kernels/igemm.h"
 #include "kernels/im2col.h"
+#include "kernels/kernel_dispatch.h"
 #include "kernels/workspace.h"
 
 namespace diva {
@@ -42,26 +43,35 @@ RequantChannel make_requant(float s_in, std::span<const float> w_scales,
   return rq;
 }
 
-void qconv2d(const std::int8_t* in, const ConvGeom& g, std::int32_t in_zp,
-             const std::int8_t* w, std::int64_t out_c,
-             const std::int32_t* bias, const RequantChannel& rq,
-             std::int32_t out_zp, std::int32_t act_min, std::int32_t act_max,
-             std::int8_t* out) {
-  const std::int64_t oh = g.out_h(), ow = g.out_w();
-  const std::int64_t k2 = g.in_c * g.kernel_h * g.kernel_w;
-  const std::int64_t ohw = oh * ow;
-  const IgemmEpilogue ep = epilogue(bias, rq, 0, out_zp, act_min, act_max);
+void qconv2d_packed(const std::int8_t* in, const ConvGeom& g,
+                    std::int32_t in_zp, const IgemmPackedA& w,
+                    const RequantChannel& rq, std::int32_t out_zp,
+                    std::int32_t act_min, std::int32_t act_max,
+                    std::int8_t* out) {
+  const std::int64_t ohw = g.out_h() * g.out_w();
+  const IgemmEpilogue ep = epilogue(nullptr, rq, 0, out_zp, act_min, act_max);
   // A 1x1 / stride-1 / unpadded conv's patch matrix is the CHW input.
   if (g.kernel_h == 1 && g.kernel_w == 1 && g.stride == 1 && g.pad == 0) {
-    igemm(out_c, ohw, k2, w, k2, in, ohw, in_zp, ep, out, ohw);
+    igemm_packed(w, ohw, in, ohw, ep, out, ohw);
     return;
   }
   // Lower to a GEMM: padded taps read the input zero point, which is
   // exactly real zero, so the igemm zero-point correction is exact.
   auto frame = Workspace::tls().frame();
-  std::int8_t* cols = frame.alloc<std::int8_t>(k2 * ohw);
+  std::int8_t* cols = frame.alloc<std::int8_t>(w.k * ohw);
   im2col<std::int8_t>(in, g, static_cast<std::int8_t>(in_zp), cols);
-  igemm(out_c, ohw, k2, w, k2, cols, ohw, in_zp, ep, out, ohw);
+  igemm_packed(w, ohw, cols, ohw, ep, out, ohw);
+}
+
+void qconv2d(const std::int8_t* in, const ConvGeom& g, std::int32_t in_zp,
+             const std::int8_t* w, std::int64_t out_c,
+             const std::int32_t* bias, const RequantChannel& rq,
+             std::int32_t out_zp, std::int32_t act_min, std::int32_t act_max,
+             std::int8_t* out) {
+  const std::int64_t k2 = g.in_c * g.kernel_h * g.kernel_w;
+  const IgemmPackedA packed =
+      igemm_pack_a(active_isa_tier(), out_c, k2, w, k2, in_zp, bias);
+  qconv2d_packed(in, g, in_zp, packed, rq, out_zp, act_min, act_max, out);
 }
 
 void qdepthwise_conv2d(const std::int8_t* in, const ConvGeom& g,
@@ -98,13 +108,13 @@ void qdense(const std::int8_t* in, std::int64_t in_f, std::int32_t in_zp,
         epilogue(bias, rq, 0, out_zp, act_min, act_max), out, 1);
 }
 
-void qdense_batched(const std::int8_t* in, std::int64_t n, std::int64_t in_f,
-                    std::int32_t in_zp, const std::int8_t* w,
-                    std::int64_t out_f, const std::int32_t* bias,
-                    const RequantChannel& rq, std::int32_t out_zp,
-                    std::int32_t act_min, std::int32_t act_max,
-                    std::int8_t* out) {
+void qdense_batched_packed(const std::int8_t* in, std::int64_t n,
+                           std::int64_t in_f, const IgemmPackedA& w,
+                           const RequantChannel& rq, std::int32_t out_zp,
+                           std::int32_t act_min, std::int32_t act_max,
+                           std::int8_t* out) {
   auto frame = Workspace::tls().frame();
+  const std::int64_t out_f = w.m;
   // Transpose activations so samples become GEMM columns, run one GEMM
   // over the whole batch, transpose back into [n, out_f] slot layout.
   std::int8_t* in_t = frame.alloc<std::int8_t>(in_f * n);
@@ -113,12 +123,24 @@ void qdense_batched(const std::int8_t* in, std::int64_t n, std::int64_t in_f,
     for (std::int64_t j = 0; j < in_f; ++j) in_t[j * n + i] = row[j];
   }
   std::int8_t* out_t = frame.alloc<std::int8_t>(out_f * n);
-  igemm(out_f, n, in_f, w, in_f, in_t, n, in_zp,
-        epilogue(bias, rq, 0, out_zp, act_min, act_max), out_t, n);
+  igemm_packed(w, n, in_t, n,
+               epilogue(nullptr, rq, 0, out_zp, act_min, act_max), out_t, n);
   for (std::int64_t i = 0; i < n; ++i) {
     std::int8_t* row = out + i * out_f;
     for (std::int64_t j = 0; j < out_f; ++j) row[j] = out_t[j * n + i];
   }
+}
+
+void qdense_batched(const std::int8_t* in, std::int64_t n, std::int64_t in_f,
+                    std::int32_t in_zp, const std::int8_t* w,
+                    std::int64_t out_f, const std::int32_t* bias,
+                    const RequantChannel& rq, std::int32_t out_zp,
+                    std::int32_t act_min, std::int32_t act_max,
+                    std::int8_t* out) {
+  qdense_batched_packed(
+      in, n, in_f,
+      igemm_pack_a(active_isa_tier(), out_f, in_f, w, in_f, in_zp, bias), rq,
+      out_zp, act_min, act_max, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -391,6 +413,82 @@ void qlut_reference(std::span<const std::int8_t> in, LutKind kind,
 
 void qmaxpool2d(const std::int8_t* in, const ConvGeom& g, std::int8_t* out) {
   const std::int64_t oh = g.out_h(), ow = g.out_w();
+  // Each output row first takes the max down its window's valid input
+  // rows (a range computed once per row, like im2col's tap_range), into
+  // a row padded with kQmin on both sides; the max across then reads
+  // every tap of that row unchecked. A padding tap holding kQmin gives
+  // the same max as skipping it, and a window wholly in the padding
+  // reads kQmin, as the reference does.
+  auto frame = Workspace::tls().frame();
+  std::int8_t* row = frame.alloc<std::int8_t>(g.in_w + 2 * g.pad);
+  std::int8_t* mid = row + g.pad;
+  std::fill(row, mid, static_cast<std::int8_t>(kQmin));
+  std::fill(mid + g.in_w, mid + g.in_w + g.pad,
+            static_cast<std::int8_t>(kQmin));
+  for (std::int64_t c = 0; c < g.in_c; ++c) {
+    const std::int8_t* chan = in + c * g.in_h * g.in_w;
+    std::int8_t* o = out + c * oh * ow;
+    for (std::int64_t y = 0; y < oh; ++y, o += ow) {
+      const std::int64_t iy0 = y * g.stride - g.pad;
+      const std::int64_t lo = std::max<std::int64_t>(0, -iy0);
+      const std::int64_t hi = std::min(g.kernel_h, g.in_h - iy0);
+      if (lo < hi) {
+        std::copy_n(chan + (iy0 + lo) * g.in_w, g.in_w, mid);
+      } else {
+        std::fill(mid, mid + g.in_w, static_cast<std::int8_t>(kQmin));
+      }
+      for (std::int64_t kh = lo + 1; kh < hi; ++kh) {
+        const std::int8_t* src = chan + (iy0 + kh) * g.in_w;
+        for (std::int64_t i = 0; i < g.in_w; ++i) {
+          mid[i] = std::max(mid[i], src[i]);
+        }
+      }
+      for (std::int64_t x = 0; x < ow; ++x) o[x] = row[x * g.stride];
+      for (std::int64_t kw = 1; kw < g.kernel_w; ++kw) {
+        for (std::int64_t x = 0; x < ow; ++x) {
+          o[x] = std::max(o[x], row[x * g.stride + kw]);
+        }
+      }
+    }
+  }
+}
+
+void qavgpool2d(const std::int8_t* in, const ConvGeom& g, std::int8_t* out) {
+  DIVA_CHECK(g.pad == 0, "qavgpool2d: windows must lie inside the image");
+  const std::int64_t oh = g.out_h(), ow = g.out_w();
+  const RoundingDivider div(
+      static_cast<std::int32_t>(g.kernel_h * g.kernel_w));
+  // Per output row: sum the window's input rows into an int32 row, sum
+  // across each window of that row, then divide exactly.
+  auto frame = Workspace::tls().frame();
+  std::int32_t* colsum = frame.alloc<std::int32_t>(g.in_w);
+  std::int32_t* acc = frame.alloc<std::int32_t>(ow);
+  for (std::int64_t c = 0; c < g.in_c; ++c) {
+    const std::int8_t* chan = in + c * g.in_h * g.in_w;
+    std::int8_t* o = out + c * oh * ow;
+    for (std::int64_t y = 0; y < oh; ++y, o += ow) {
+      const std::int8_t* top = chan + y * g.stride * g.in_w;
+      for (std::int64_t i = 0; i < g.in_w; ++i) colsum[i] = top[i];
+      for (std::int64_t kh = 1; kh < g.kernel_h; ++kh) {
+        const std::int8_t* src = top + kh * g.in_w;
+        for (std::int64_t i = 0; i < g.in_w; ++i) colsum[i] += src[i];
+      }
+      for (std::int64_t x = 0; x < ow; ++x) acc[x] = colsum[x * g.stride];
+      for (std::int64_t kw = 1; kw < g.kernel_w; ++kw) {
+        for (std::int64_t x = 0; x < ow; ++x) {
+          acc[x] += colsum[x * g.stride + kw];
+        }
+      }
+      for (std::int64_t x = 0; x < ow; ++x) {
+        o[x] = clamp_to_int8(div(acc[x]), kQmin, kQmax);
+      }
+    }
+  }
+}
+
+void qmaxpool2d_reference(const std::int8_t* in, const ConvGeom& g,
+                          std::int8_t* out) {
+  const std::int64_t oh = g.out_h(), ow = g.out_w();
   for (std::int64_t c = 0; c < g.in_c; ++c) {
     const std::int8_t* chan = in + c * g.in_h * g.in_w;
     std::int8_t* o = out + c * oh * ow;
@@ -412,7 +510,8 @@ void qmaxpool2d(const std::int8_t* in, const ConvGeom& g, std::int8_t* out) {
   }
 }
 
-void qavgpool2d(const std::int8_t* in, const ConvGeom& g, std::int8_t* out) {
+void qavgpool2d_reference(const std::int8_t* in, const ConvGeom& g,
+                          std::int8_t* out) {
   const std::int64_t oh = g.out_h(), ow = g.out_w();
   const auto count = static_cast<std::int32_t>(g.kernel_h * g.kernel_w);
   for (std::int64_t c = 0; c < g.in_c; ++c) {
@@ -430,6 +529,23 @@ void qavgpool2d(const std::int8_t* in, const ConvGeom& g, std::int8_t* out) {
       }
     }
   }
+}
+
+RoundingDivider::RoundingDivider(std::int32_t d)
+    : half_(static_cast<std::uint32_t>(d / 2)) {
+  DIVA_CHECK(d >= 1 && d <= (1 << 20), "RoundingDivider: divisor " << d);
+  // With mult = ceil(2^shift / d) = (2^shift + e) / d, 0 <= e < d,
+  //   u * mult / 2^shift = u / d + u * e / (d * 2^shift),
+  // and the floor matches floor(u / d) while u * e < 2^shift. The
+  // largest u is 128 * d + d / 2, so 2^shift >= that times d suffices.
+  // Then mult < 2^30 and u < 2^28 for every d <= 2^20, so both fit 32
+  // bits and their product 64.
+  const std::uint64_t du = static_cast<std::uint64_t>(d);
+  const std::uint64_t u_max = 128 * du + half_;
+  shift_ = 0;
+  while ((std::uint64_t{1} << shift_) < u_max * du) ++shift_;
+  mult_ = static_cast<std::uint32_t>(((std::uint64_t{1} << shift_) + du - 1) /
+                                     du);
 }
 
 void qglobal_avgpool(const std::int8_t* in, std::int64_t c, std::int64_t hw,

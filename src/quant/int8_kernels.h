@@ -13,6 +13,21 @@
 // `*_reference` — integer arithmetic is exact, so the GEMM-backed
 // kernels are pinned bit-identical against them in tests.
 //
+// The executor keeps its conv and dense weights prepacked
+// (IgemmPackedA, built once per model and ISA tier) and calls the
+// `*_packed` entry points; qconv2d / qdense_batched pack the weights
+// into a temporary per call and run the same code.
+//
+// The window pools are range-based, like im2col: each output row takes
+// the range of its window's input rows that lie inside the image once,
+// so no tap is bounds-checked. Both pools first reduce those rows into
+// one row (max pool: padded with kQmin on both sides; avg pool: an
+// int32 row sum), then reduce across each window of it. qavgpool2d
+// divides by the window size with an exact multiply-shift
+// (RoundingDivider) instead of an integer division per output. The
+// per-tap loops are kept as `*_reference`, and the pools are pinned
+// bit-exact against them.
+//
 // The elementwise ops (qadd, qrequantize, qlut) are exact 256-entry
 // tables: every output depends on each int8 operand through a function
 // of that operand alone, so tabulating it over all 256 values and
@@ -25,6 +40,7 @@
 #include <span>
 #include <vector>
 
+#include "kernels/igemm.h"
 #include "quant/qparams.h"
 #include "tensor/tensor_ops.h"
 
@@ -50,6 +66,14 @@ void qconv2d(const std::int8_t* in, const ConvGeom& g, std::int32_t in_zp,
              std::int32_t out_zp, std::int32_t act_min, std::int32_t act_max,
              std::int8_t* out);
 
+/// qconv2d with the weights prepacked: `w` is [OC, IC*K*K] packed by
+/// igemm_pack_a with b_zp = in_zp and the conv's bias.
+void qconv2d_packed(const std::int8_t* in, const ConvGeom& g,
+                    std::int32_t in_zp, const IgemmPackedA& w,
+                    const RequantChannel& rq, std::int32_t out_zp,
+                    std::int32_t act_min, std::int32_t act_max,
+                    std::int8_t* out);
+
 /// int8 depthwise convolution; `w` is [C, 1, K, K].
 void qdepthwise_conv2d(const std::int8_t* in, const ConvGeom& g,
                        std::int32_t in_zp, const std::int8_t* w,
@@ -74,6 +98,14 @@ void qdense_batched(const std::int8_t* in, std::int64_t n, std::int64_t in_f,
                     const RequantChannel& rq, std::int32_t out_zp,
                     std::int32_t act_min, std::int32_t act_max,
                     std::int8_t* out);
+
+/// qdense_batched with the weights prepacked: `w` is [out_f, in_f]
+/// packed by igemm_pack_a with b_zp = in_zp and the layer's bias.
+void qdense_batched_packed(const std::int8_t* in, std::int64_t n,
+                           std::int64_t in_f, const IgemmPackedA& w,
+                           const RequantChannel& rq, std::int32_t out_zp,
+                           std::int32_t act_min, std::int32_t act_max,
+                           std::int8_t* out);
 
 // ---------------------------------------------------------------------------
 // Naive scalar reference kernels (the pre-GEMM implementations). Used
@@ -144,11 +176,42 @@ void qlut_reference(std::span<const std::int8_t> in, LutKind kind,
                     QuantParams qp_in, QuantParams qp_out, float slope,
                     std::span<std::int8_t> out);
 
-/// int8 max pooling over one CHW image.
+/// int8 max pooling over one CHW image. Taps in the padding are
+/// skipped; a window with no tap inside the image reads kQmin. The
+/// window must fit the padded input (in + 2 * pad >= kernel per side).
 void qmaxpool2d(const std::int8_t* in, const ConvGeom& g, std::int8_t* out);
 
-/// int8 average pooling (same scale in/out, rounding division).
+/// int8 average pooling (same scale in/out, rounding division by the
+/// window size). Windows must lie inside the image: g.pad must be 0 and
+/// the kernel no larger than the input.
 void qavgpool2d(const std::int8_t* in, const ConvGeom& g, std::int8_t* out);
+
+/// The per-tap pool loops the range-based pools are pinned against.
+void qmaxpool2d_reference(const std::int8_t* in, const ConvGeom& g,
+                          std::int8_t* out);
+void qavgpool2d_reference(const std::int8_t* in, const ConvGeom& g,
+                          std::int8_t* out);
+
+/// Rounding signed division (ties away from zero) by a fixed count
+/// d in [1, 2^20], as one multiply and shift. Exact for every
+/// |x| <= 128 * d, i.e. every sum of d int8 values.
+class RoundingDivider {
+ public:
+  explicit RoundingDivider(std::int32_t d);
+  std::int32_t operator()(std::int32_t x) const {
+    const std::uint32_t u =
+        (x < 0 ? 0u - static_cast<std::uint32_t>(x)
+               : static_cast<std::uint32_t>(x)) +
+        half_;
+    const auto q =
+        static_cast<std::int32_t>((std::uint64_t{u} * mult_) >> shift_);
+    return x < 0 ? -q : q;
+  }
+
+ private:
+  std::uint32_t half_, mult_;
+  int shift_;
+};
 
 /// Global average pooling: CHW -> C (same scale, rounding division).
 void qglobal_avgpool(const std::int8_t* in, std::int64_t c, std::int64_t hw,

@@ -1,5 +1,7 @@
 #include "quant/qat.h"
 
+#include "nn/tape.h"
+
 namespace diva {
 
 std::vector<ActFakeQuant*> fake_quant_nodes(Module& m) {
@@ -19,7 +21,12 @@ void set_quantize_enabled(Module& m, bool enabled) {
 void calibrate(Module& m, const std::vector<Tensor>& batches) {
   DIVA_CHECK(!batches.empty(), "calibrate: no batches");
   m.set_training(true);
-  for (const Tensor& batch : batches) (void)m.forward(batch);
+  {
+    // No backward follows, so what the forwards record dies with the
+    // scope instead of staying on the thread's default tape.
+    TapeScope scope;
+    for (const Tensor& batch : batches) (void)m.forward(batch);
+  }
   m.set_training(false);
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "kernels/kernel_dispatch.h"
 #include "kernels/workspace.h"
 #include "nn/activations.h"
 #include "nn/composite.h"
@@ -392,6 +393,108 @@ int Builder::build_sequential(Sequential& seq, int in_slot) {
   return cur;
 }
 
+// Bounds every geometry field so the products below cannot overflow.
+constexpr std::int64_t kMaxDim = 1 << 15;
+
+bool dim_ok(std::int64_t v, std::int64_t lo) { return v >= lo && v <= kMaxDim; }
+
+/// A conv/pool window over a CHW input: every field in range and the
+/// window no larger than the padded input.
+bool window_ok(const ConvGeom& g) {
+  return dim_ok(g.in_c, 1) && dim_ok(g.in_h, 1) && dim_ok(g.in_w, 1) &&
+         dim_ok(g.kernel_h, 1) && dim_ok(g.kernel_w, 1) &&
+         dim_ok(g.stride, 1) && dim_ok(g.pad, 0) &&
+         g.in_h + 2 * g.pad >= g.kernel_h && g.in_w + 2 * g.pad >= g.kernel_w;
+}
+
+/// The checks the executor and the weight plan rely on. Everything the
+/// forward indexes by (slot ids, vector lengths, window geometry) is
+/// checked here once, so a malformed artifact throws before any of it
+/// is packed or run.
+void verify_graph(const std::vector<QSlot>& slots, const std::vector<QOp>& ops,
+                  int input_slot, int output_slot) {
+  const auto slot_ok = [&](int s) {
+    return s >= 0 && s < static_cast<int>(slots.size());
+  };
+  DIVA_CHECK(slot_ok(input_slot) && slot_ok(output_slot),
+             "from_parts: slot indices out of range");
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const QOp& op = ops[i];
+    const int kind = static_cast<int>(op.kind);
+    DIVA_CHECK(kind >= 0 && kind <= static_cast<int>(QOp::Kind::kLut),
+               "from_parts: op " << i << " has unknown kind " << kind);
+    const bool binary =
+        op.kind == QOp::Kind::kAdd || op.kind == QOp::Kind::kConcat;
+    DIVA_CHECK(slot_ok(op.in0) && slot_ok(op.out) &&
+                   (!binary || slot_ok(op.in1)),
+               "from_parts: op " << i << " references missing slot");
+    const Shape& in = slots[static_cast<std::size_t>(op.in0)].shape;
+    const Shape& out = slots[static_cast<std::size_t>(op.out)].shape;
+    const ConvGeom& g = op.geom;
+
+    std::int64_t weights = -1;  // expected weight count; -1: unchecked
+    switch (op.kind) {
+      case QOp::Kind::kConv:
+      case QOp::Kind::kDepthwiseConv: {
+        const bool dw = op.kind == QOp::Kind::kDepthwiseConv;
+        DIVA_CHECK(window_ok(g) && dim_ok(op.out_c, 1) &&
+                       (!dw || op.out_c == g.in_c),
+                   "from_parts: op " << i << " has invalid conv geometry");
+        DIVA_CHECK(in == Shape({g.in_c, g.in_h, g.in_w}) &&
+                       out == Shape({op.out_c, g.out_h(), g.out_w()}),
+                   "from_parts: op " << i << " geometry does not match its "
+                                     << "slots " << in.str() << " -> "
+                                     << out.str());
+        weights = op.out_c * (dw ? 1 : g.in_c) * g.kernel_h * g.kernel_w;
+        break;
+      }
+      case QOp::Kind::kDense:
+        DIVA_CHECK(dim_ok(g.in_c, 1) && dim_ok(op.out_c, 1) &&
+                       in.numel() == g.in_c && out == Shape({op.out_c}),
+                   "from_parts: op " << i << " dense geometry does not match "
+                                     << "its slots " << in.str() << " -> "
+                                     << out.str());
+        weights = op.out_c * g.in_c;
+        break;
+      case QOp::Kind::kMaxPool:
+      case QOp::Kind::kAvgPool:
+        DIVA_CHECK(window_ok(g), "from_parts: op "
+                                     << i << " has invalid pool geometry");
+        DIVA_CHECK(op.kind == QOp::Kind::kMaxPool || g.pad == 0,
+                   "from_parts: op " << i << " is a padded average pool");
+        DIVA_CHECK(in == Shape({g.in_c, g.in_h, g.in_w}) &&
+                       out == Shape({g.in_c, g.out_h(), g.out_w()}),
+                   "from_parts: op " << i << " pool geometry does not match "
+                                     << "its slots " << in.str() << " -> "
+                                     << out.str());
+        break;
+      case QOp::Kind::kGlobalAvgPool:
+        DIVA_CHECK(dim_ok(g.in_c, 1) && dim_ok(g.in_h, 1) &&
+                       dim_ok(g.in_w, 1) &&
+                       in == Shape({g.in_c, g.in_h, g.in_w}) &&
+                       out == Shape({g.in_c}),
+                   "from_parts: op " << i << " global pool geometry does not "
+                                     << "match its slots");
+        break;
+      default:
+        break;
+    }
+    if (weights < 0) continue;
+    const auto oc = static_cast<std::size_t>(op.out_c);
+    DIVA_CHECK(op.weights.size() == static_cast<std::size_t>(weights),
+               "from_parts: op " << i << " has " << op.weights.size()
+                                 << " weights, geometry needs " << weights);
+    DIVA_CHECK(op.bias.empty() || op.bias.size() == oc,
+               "from_parts: op " << i << " has " << op.bias.size()
+                                 << " biases for " << oc << " channels");
+    DIVA_CHECK(op.rq.multiplier.size() == oc && op.rq.shift.size() == oc,
+               "from_parts: op " << i << " has requant vectors of "
+                                 << op.rq.multiplier.size() << "/"
+                                 << op.rq.shift.size() << " for " << oc
+                                 << " channels");
+  }
+}
+
 }  // namespace
 
 QuantizedModel QuantizedModel::compile(Sequential& qat_model,
@@ -406,7 +509,6 @@ QuantizedModel QuantizedModel::compile(Sequential& qat_model,
              "QAT model must start with an input ActFakeQuant stub");
 
   Builder b;
-  QuantizedModel qm;
   const int in_slot = b.add_slot(image_shape, frozen_qparams(*input_stub));
 
   // Build the rest of the graph; the stub itself defines slot 0's grid,
@@ -417,11 +519,7 @@ QuantizedModel QuantizedModel::compile(Sequential& qat_model,
   DIVA_CHECK(b.slots[static_cast<std::size_t>(out_slot)].shape.rank() == 1,
              "model output must be a flat logits vector");
 
-  qm.slots_ = std::move(b.slots);
-  qm.ops_ = std::move(b.ops);
-  qm.input_slot_ = in_slot;
-  qm.output_slot_ = out_slot;
-  return qm;
+  return assemble(std::move(b.slots), std::move(b.ops), in_slot, out_slot);
 }
 
 void QuantizedModel::run_batch_int8(const float* images, std::int64_t n,
@@ -473,7 +571,9 @@ void QuantizedModel::run_batch_int8(const float* images, std::int64_t n,
   // qrequantize build per call cost next to nothing per chunk.
   constexpr std::int64_t kElementwiseGrain = 16384;
 
-  for (const QOp& op : ops_) {
+  const auto tier = static_cast<std::size_t>(active_isa_tier());
+  for (std::size_t op_i = 0; op_i < ops_.size(); ++op_i) {
+    const QOp& op = ops_[op_i];
     DIVA_CHECK(written[static_cast<std::size_t>(op.in0)] &&
                    (op.in1 < 0 || written[static_cast<std::size_t>(op.in1)]),
                "int8 executor: dangling input slot");
@@ -497,10 +597,9 @@ void QuantizedModel::run_batch_int8(const float* images, std::int64_t n,
     switch (op.kind) {
       case QOp::Kind::kConv:
         parallel_for(0, n, [&](std::int64_t i) {
-          qconv2d(src + i * in_n, op.geom, in_slot.qp.zero_point,
-                  op.weights.data(), op.out_c, op.bias.data(), op.rq,
-                  out_slot.qp.zero_point, op.act_min, op.act_max,
-                  dst + i * out_n);
+          qconv2d_packed(src + i * in_n, op.geom, in_slot.qp.zero_point,
+                         packed_[op_i][tier], op.rq, out_slot.qp.zero_point,
+                         op.act_min, op.act_max, dst + i * out_n);
         });
         break;
       case QOp::Kind::kDepthwiseConv:
@@ -512,9 +611,9 @@ void QuantizedModel::run_batch_int8(const float* images, std::int64_t n,
         });
         break;
       case QOp::Kind::kDense:
-        qdense_batched(src, n, op.geom.in_c, in_slot.qp.zero_point,
-                       op.weights.data(), op.out_c, op.bias.data(), op.rq,
-                       out_slot.qp.zero_point, op.act_min, op.act_max, dst);
+        qdense_batched_packed(src, n, op.geom.in_c, packed_[op_i][tier],
+                              op.rq, out_slot.qp.zero_point, op.act_min,
+                              op.act_max, dst);
         break;
       case QOp::Kind::kMaxPool:
         parallel_for(0, n, [&](std::int64_t i) {
@@ -613,21 +712,33 @@ Tensor QuantizedModel::forward(const Tensor& x) const {
 QuantizedModel QuantizedModel::from_parts(std::vector<QSlot> slots,
                                           std::vector<QOp> ops,
                                           int input_slot, int output_slot) {
-  DIVA_CHECK(input_slot >= 0 &&
-                 input_slot < static_cast<int>(slots.size()) &&
-                 output_slot >= 0 &&
-                 output_slot < static_cast<int>(slots.size()),
-             "from_parts: slot indices out of range");
-  for (const QOp& op : ops) {
-    DIVA_CHECK(op.in0 >= 0 && op.in0 < static_cast<int>(slots.size()) &&
-                   op.out >= 0 && op.out < static_cast<int>(slots.size()),
-               "from_parts: op references missing slot");
-  }
+  return assemble(std::move(slots), std::move(ops), input_slot, output_slot);
+}
+
+QuantizedModel QuantizedModel::assemble(std::vector<QSlot> slots,
+                                        std::vector<QOp> ops, int input_slot,
+                                        int output_slot) {
+  verify_graph(slots, ops, input_slot, output_slot);
   QuantizedModel qm;
   qm.slots_ = std::move(slots);
   qm.ops_ = std::move(ops);
   qm.input_slot_ = input_slot;
   qm.output_slot_ = output_slot;
+  qm.packed_.resize(qm.ops_.size());
+  const std::vector<IsaTier> tiers = available_isa_tiers();
+  for (std::size_t i = 0; i < qm.ops_.size(); ++i) {
+    const QOp& op = qm.ops_[i];
+    if (op.kind != QOp::Kind::kConv && op.kind != QOp::Kind::kDense) continue;
+    const std::int64_t k =
+        static_cast<std::int64_t>(op.weights.size()) / op.out_c;
+    const std::int32_t in_zp =
+        qm.slots_[static_cast<std::size_t>(op.in0)].qp.zero_point;
+    for (const IsaTier tier : tiers) {
+      qm.packed_[i][static_cast<std::size_t>(tier)] = igemm_pack_a(
+          tier, op.out_c, k, op.weights.data(), k, in_zp,
+          op.bias.empty() ? nullptr : op.bias.data());
+    }
+  }
   return qm;
 }
 

@@ -19,6 +19,7 @@
 //   [DenseBranch] + ActFakeQuant                   -> QConcat
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -105,6 +106,11 @@ class QuantizedModel {
   int output_slot_index() const { return output_slot_; }
 
   /// Reassembles a model from its serialized parts (quant/qmodel_io.h).
+  /// Throws diva::Error on a malformed graph: slot indices out of range,
+  /// an unknown op kind, a weight, bias or requant vector whose length
+  /// does not match the op's geometry and out_c, a conv or pool whose
+  /// geometry does not match its input and output slots, or a padded
+  /// average pool.
   static QuantizedModel from_parts(std::vector<QSlot> slots,
                                    std::vector<QOp> ops, int input_slot,
                                    int output_slot);
@@ -114,10 +120,23 @@ class QuantizedModel {
   std::int64_t weight_bytes() const;
 
  private:
+  /// The one constructor path of compile() and from_parts(): verifies
+  /// the graph, then builds the weight plan.
+  static QuantizedModel assemble(std::vector<QSlot> slots,
+                                 std::vector<QOp> ops, int input_slot,
+                                 int output_slot);
+
   std::vector<QSlot> slots_;
   std::vector<QOp> ops_;
   int input_slot_ = 0;
   int output_slot_ = 0;
+  // The weight plan: packed_[op][tier] holds a conv or dense op's
+  // weights packed for that ISA tier, with bias and zero-point
+  // correction folded in, for every tier this process can run (so
+  // force_isa_tier() may switch tiers between forwards). Other entries
+  // are empty. Read-only after assemble(), so concurrent forwards share
+  // it without a lock.
+  std::vector<std::array<IgemmPackedA, kNumIsaTiers>> packed_;
 };
 
 }  // namespace diva

@@ -466,16 +466,26 @@ telemetry::Snapshot decode_stats_reply(
     const std::vector<std::uint8_t>& payload) {
   WireReader r(payload);
   telemetry::Snapshot snap;
+  // Each count is bounded by the entries the rest of the payload can
+  // hold at their minimum wire size, so a short payload cannot make the
+  // loops below allocate (a histogram's 256 buckets) before reading.
+  constexpr std::size_t kMinCounterBytes = 4 + 8;        // name len, value
+  constexpr std::size_t kMinHistBytes = 4 + 8 + 8 + 4;   // + count, sum, nz
   const std::uint32_t n_counters = r.u32();
-  DIVA_CHECK(n_counters <= (1u << 20), "implausible counter count "
-                                           << n_counters);
+  DIVA_CHECK(n_counters <= (1u << 20) &&
+                 n_counters <= r.remaining() / kMinCounterBytes,
+             "implausible counter count " << n_counters << " for "
+                                          << r.remaining()
+                                          << " payload bytes");
   for (std::uint32_t i = 0; i < n_counters; ++i) {
     const std::string name = r.str();
     snap.counters[name] = r.u64();
   }
   const std::uint32_t n_hists = r.u32();
-  DIVA_CHECK(n_hists <= (1u << 20), "implausible histogram count "
-                                        << n_hists);
+  DIVA_CHECK(n_hists <= (1u << 20) && n_hists <= r.remaining() / kMinHistBytes,
+             "implausible histogram count " << n_hists << " for "
+                                            << r.remaining()
+                                            << " payload bytes");
   for (std::uint32_t i = 0; i < n_hists; ++i) {
     const std::string name = r.str();
     telemetry::HistogramData h;

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -180,6 +181,70 @@ TEST(IsaDispatch, IgemmAllTiersBitIdenticalToReferenceAcrossFuzzShapes) {
                                  static_cast<std::size_t>(c.n)))
             << "tier " << isa_tier_name(t) << " shape " << c.m << "x" << c.n
             << "x" << c.k << " row " << i;
+      }
+    }
+  }
+}
+
+TEST(IsaDispatch, PrepackedWeightsRunBitIdenticalToReferenceAtEveryTier) {
+  // The quantized executor's path: A is packed for every runnable tier
+  // up front, then the tier is switched between products. Widths that
+  // are whole 32-column strips with K a multiple of 4 take the VNNI
+  // tier's SIMD B pack; the rest mix in its per-byte edge loop.
+  TierGuard guard;
+  const std::vector<IsaTier> tiers = available_isa_tiers();
+  std::string covered;
+  for (const IsaTier t : tiers) covered += std::string(" ") + isa_tier_name(t);
+  std::printf("[ tiers    ] prepacked igemm covered:%s\n", covered.c_str());
+
+  const IgemmCase cases[] = {{8, 64, 72},  {4, 32, 4},  {16, 96, 576},
+                             {5, 33, 9},   {3, 160, 6}, {10, 64, 515},
+                             {2, 31, 128}, {7, 1, 3}};
+  int fuzz = 0;
+  for (const IgemmCase& c : cases) {
+    ++fuzz;
+    const std::int64_t ldb = c.n + (fuzz % 2) * 3;
+    const auto a = random_int8(c.m * c.k, 0x1A0 + fuzz);
+    const auto b = random_int8(c.k * ldb, 0x1B0 + fuzz);
+    Rng rng(0x1C0 + fuzz);
+    const auto b_zp =
+        static_cast<std::int32_t>(static_cast<std::int64_t>(rng.randint(256)) -
+                                  128);
+    std::vector<std::int32_t> bias(static_cast<std::size_t>(c.m));
+    std::vector<std::int32_t> multiplier(static_cast<std::size_t>(c.m));
+    std::vector<int> shift(static_cast<std::size_t>(c.m));
+    for (std::size_t i = 0; i < bias.size(); ++i) {
+      bias[i] = static_cast<std::int32_t>(rng.randint(1 << 20)) - (1 << 19);
+      multiplier[i] =
+          (1 << 30) + static_cast<std::int32_t>(rng.randint(1u << 30));
+      shift[i] = -static_cast<int>(rng.randint(9));
+    }
+    IgemmEpilogue ep;
+    ep.bias = bias.data();
+    ep.multiplier = multiplier.data();
+    ep.shift = shift.data();
+    std::vector<std::int8_t> want(static_cast<std::size_t>(c.m * c.n));
+    igemm_reference(c.m, c.n, c.k, a.data(), c.k, b.data(), ldb, b_zp, ep,
+                    want.data(), c.n);
+
+    std::vector<IgemmPackedA> packed;
+    for (const IsaTier t : tiers) {
+      packed.push_back(
+          igemm_pack_a(t, c.m, c.k, a.data(), c.k, b_zp, bias.data()));
+    }
+    ep.bias = nullptr;  // folded into the packed rows' epilogue base
+    for (std::size_t ti = 0; ti < tiers.size(); ++ti) {
+      force_isa_tier(tiers[ti]);
+      std::vector<std::int8_t> got(want.size(), 99);
+      igemm_packed(packed[ti], c.n, b.data(), ldb, ep, got.data(), c.n);
+      EXPECT_EQ(got, want) << "tier " << isa_tier_name(tiers[ti]) << " shape "
+                           << c.m << "x" << c.n << "x" << c.k;
+      // Weights packed for another tier are refused, not misread.
+      const std::size_t other = (ti + 1) % tiers.size();
+      if (other != ti) {
+        EXPECT_THROW(igemm_packed(packed[other], c.n, b.data(), ldb, ep,
+                                  got.data(), c.n),
+                     Error);
       }
     }
   }

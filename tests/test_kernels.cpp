@@ -648,6 +648,64 @@ TEST(QuantOps, ElementwiseOpsBitIdenticalAcrossIsaTiers) {
 // Workspace arena.
 // ---------------------------------------------------------------------------
 
+TEST(QuantOps, RangeBasedPoolsBitIdenticalToPerTapReferenceSweep) {
+  // Kernel 1-5 x stride 1-3 x input 1-9 per side, max pool also over
+  // pad 0-2 (windows wholly inside the padding included); every
+  // geometry whose window fits the padded input.
+  std::uint64_t seed = 7000;
+  int geometries = 0;
+  for (std::int64_t k = 1; k <= 5; ++k) {
+    for (std::int64_t s = 1; s <= 3; ++s) {
+      for (std::int64_t pad = 0; pad <= 2; ++pad) {
+        for (std::int64_t h = 1; h <= 9; ++h) {
+          for (std::int64_t w = 1; w <= 9; ++w) {
+            if (h + 2 * pad < k || w + 2 * pad < k) continue;
+            const ConvGeom g{2, h, w, k, k, s, pad};
+            ++geometries;
+            const auto in = random_int8(g.in_c * h * w, ++seed);
+            const auto out_n =
+                static_cast<std::size_t>(g.in_c * g.out_h() * g.out_w());
+            std::vector<std::int8_t> got(out_n, 99), want(out_n, 98);
+            qmaxpool2d(in.data(), g, got.data());
+            qmaxpool2d_reference(in.data(), g, want.data());
+            ASSERT_EQ(got, want) << "max k" << k << " s" << s << " p" << pad
+                                 << " " << h << "x" << w;
+            if (pad != 0) continue;
+            std::fill(got.begin(), got.end(), 99);
+            std::fill(want.begin(), want.end(), 98);
+            qavgpool2d(in.data(), g, got.data());
+            qavgpool2d_reference(in.data(), g, want.data());
+            ASSERT_EQ(got, want) << "avg k" << k << " s" << s << " " << h
+                                 << "x" << w;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(geometries, 1000);
+}
+
+TEST(QuantOps, RoundingDividerExactOverEveryWindowSum) {
+  // Every sum of d int8 values, every window size 1-25 (3x3 = 9, 5x5 =
+  // 25 and the other non-powers of two included), against the rounding
+  // division the reference pools apply.
+  for (std::int32_t d = 1; d <= 25; ++d) {
+    const RoundingDivider div(d);
+    for (std::int32_t x = -128 * d; x <= 127 * d; ++x) {
+      const std::int32_t want =
+          x >= 0 ? (x + d / 2) / d : -((-x + d / 2) / d);
+      ASSERT_EQ(div(x), want) << x << " / " << d;
+    }
+  }
+  EXPECT_THROW(RoundingDivider(0), Error);
+}
+
+TEST(QuantOps, AvgPoolRejectsPadding) {
+  const ConvGeom g{1, 4, 4, 2, 2, 2, 1};
+  std::vector<std::int8_t> in(16, 1), out(9);
+  EXPECT_THROW(qavgpool2d(in.data(), g, out.data()), Error);
+}
+
 TEST(Workspace, PointersSurviveGrowthWithinFrame) {
   Workspace ws;
   auto frame = ws.frame();

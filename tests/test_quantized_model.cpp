@@ -3,11 +3,16 @@
 // and error handling.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
+#include <functional>
 #include <sstream>
+#include <thread>
 
+#include "kernels/kernel_dispatch.h"
 #include "models/factory.h"
 #include "nn/init.h"
+#include "nn/tape.h"
 #include "quant/qat.h"
 #include "quant/qmodel_io.h"
 #include "tensor/serialize.h"
@@ -260,6 +265,173 @@ TEST(QuantizedModel, FromPartsValidatesIndices) {
   EXPECT_THROW(
       QuantizedModel::from_parts(std::move(slots), std::move(ops), 0, 0),
       Error);
+}
+
+/// Compiled edge-residual graph (digit-shaped) for the mutation tests.
+QuantizedModel edge_residual_model(std::uint64_t seed) {
+  auto qat = make_edge_residual_net(10, NetMode::kQat);
+  init_parameters(*qat, seed);
+  calibrate(*qat, {random_tensor(Shape{6, 1, 28, 28}, seed + 1, 0.0f, 1.0f)});
+  return QuantizedModel::compile(*qat, Shape{1, 28, 28});
+}
+
+/// Index of the first op of `kind`.
+std::size_t first_op(const QuantizedModel& m, QOp::Kind kind) {
+  for (std::size_t i = 0; i < m.ops().size(); ++i) {
+    if (m.ops()[i].kind == kind) return i;
+  }
+  ADD_FAILURE() << "graph has no op of kind " << static_cast<int>(kind);
+  return 0;
+}
+
+/// Rebuilds `m` from its parts after `mutate` edits one op; returns the
+/// diva::Error message, or "" when from_parts accepted the graph.
+std::string from_parts_error(const QuantizedModel& m, QOp::Kind kind,
+                             const std::function<void(QOp&)>& mutate) {
+  std::vector<QOp> ops = m.ops();
+  mutate(ops[first_op(m, kind)]);
+  try {
+    (void)QuantizedModel::from_parts(m.slots(), std::move(ops),
+                                     m.input_slot_index(),
+                                     m.output_slot_index());
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(QuantizedModel, FromPartsRejectsMalformedOpsBeforePacking) {
+  const QuantizedModel m = edge_residual_model(40);
+  // The unmutated parts load.
+  EXPECT_EQ(from_parts_error(m, QOp::Kind::kConv, [](QOp&) {}), "");
+
+  const struct {
+    const char* name;
+    QOp::Kind kind;
+    std::function<void(QOp&)> mutate;
+    const char* message;
+  } cases[] = {
+      {"rq cut to one entry", QOp::Kind::kConv,
+       [](QOp& op) {
+         op.rq.multiplier.resize(1);
+         op.rq.shift.resize(1);
+       },
+       "requant vectors"},
+      {"bias cut to one entry", QOp::Kind::kConv,
+       [](QOp& op) { op.bias.resize(1); }, "biases"},
+      {"pool kind 77", QOp::Kind::kAvgPool,
+       [](QOp& op) { op.kind = static_cast<QOp::Kind>(77); }, "unknown kind"},
+      {"avgpool pad 1", QOp::Kind::kAvgPool, [](QOp& op) { op.geom.pad = 1; },
+       "padded average pool"},
+      {"conv weights one byte short", QOp::Kind::kConv,
+       [](QOp& op) { op.weights.pop_back(); }, "weights"},
+      {"dense rq cut to one entry", QOp::Kind::kDense,
+       [](QOp& op) { op.rq.shift.resize(1); }, "requant vectors"},
+      {"depthwise weights one byte short", QOp::Kind::kDepthwiseConv,
+       [](QOp& op) { op.weights.pop_back(); }, "weights"},
+      {"avgpool stride 0", QOp::Kind::kAvgPool,
+       [](QOp& op) { op.geom.stride = 0; }, "pool geometry"},
+      {"conv geometry off its slots", QOp::Kind::kConv,
+       [](QOp& op) { op.geom.in_h += 1; }, "does not match"},
+  };
+  for (const auto& c : cases) {
+    const std::string msg = from_parts_error(m, c.kind, c.mutate);
+    EXPECT_NE(msg.find(c.message), std::string::npos)
+        << c.name << ": " << (msg.empty() ? "accepted" : msg);
+  }
+}
+
+TEST(QuantizedModel, EveryIsaTierRunsTheSamePlanBitIdenticalToScalar) {
+  // One compiled model per perfbench graph; its weight plan is built
+  // once, then the dispatch switches tiers between forwards.
+  struct Graph {
+    const char* name;
+    std::unique_ptr<Sequential> qat;
+    Shape shape;
+  };
+  std::vector<Graph> graphs;
+  graphs.push_back({"digit", make_digit_net(NetMode::kQat), Shape{1, 28, 28}});
+  graphs.push_back({"resnet", make_model(Arch::kResNet, 10, NetMode::kQat),
+                    Shape{3, 32, 32}});
+  graphs.push_back({"mobilenet",
+                    make_model(Arch::kMobileNet, 10, NetMode::kQat),
+                    Shape{3, 32, 32}});
+  graphs.push_back({"densenet", make_model(Arch::kDenseNet, 10, NetMode::kQat),
+                    Shape{3, 32, 32}});
+  graphs.push_back({"edge_residual",
+                    make_edge_residual_net(10, NetMode::kQat, 3),
+                    Shape{3, 32, 32}});
+  const IsaTier startup = active_isa_tier();
+  const std::vector<IsaTier> tiers = available_isa_tiers();
+  std::string covered;
+  for (const IsaTier t : tiers) covered += std::string(" ") + isa_tier_name(t);
+  std::printf("[ tiers    ] compiled-model forwards covered:%s\n",
+              covered.c_str());
+
+  std::uint64_t seed = 50;
+  for (Graph& g : graphs) {
+    init_parameters(*g.qat, ++seed);
+    const Shape batch{8, g.shape[0], g.shape[1], g.shape[2]};
+    calibrate(*g.qat, {random_tensor(batch, ++seed, 0.0f, 1.0f)});
+    const QuantizedModel m = QuantizedModel::compile(*g.qat, g.shape);
+    const Tensor x64 = random_tensor(
+        Shape{64, g.shape[0], g.shape[1], g.shape[2]}, ++seed, 0.0f, 1.0f);
+    const Tensor x1 = random_tensor(
+        Shape{1, g.shape[0], g.shape[1], g.shape[2]}, ++seed, 0.0f, 1.0f);
+
+    force_isa_tier(IsaTier::kScalar);
+    const Tensor want64 = m.forward(x64);
+    const Tensor want1 = m.forward(x1);
+    for (const IsaTier t : tiers) {
+      force_isa_tier(t);
+      const Tensor got64 = m.forward(x64);
+      const Tensor got1 = m.forward(x1);
+      EXPECT_EQ(std::memcmp(got64.raw(), want64.raw(),
+                            sizeof(float) *
+                                static_cast<std::size_t>(want64.numel())),
+                0)
+          << g.name << " batch 64 at " << isa_tier_name(t);
+      EXPECT_EQ(std::memcmp(got1.raw(), want1.raw(),
+                            sizeof(float) *
+                                static_cast<std::size_t>(want1.numel())),
+                0)
+          << g.name << " batch 1 at " << isa_tier_name(t);
+    }
+    force_isa_tier(startup);
+  }
+}
+
+TEST(QuantizedModel, ConcurrentForwardsShareOneWeightPlan) {
+  // Four threads run forwards through one model (and so one packed
+  // weight plan) at once; each must get the single-threaded answer.
+  const QuantizedModel m = edge_residual_model(60);
+  std::vector<Tensor> inputs, want;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    inputs.push_back(random_tensor(Shape{3, 1, 28, 28}, 61 + i, 0.0f, 1.0f));
+    want.push_back(m.forward(inputs.back()));
+  }
+  std::vector<Tensor> got(4);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 5; ++rep) got[t] = m.forward(inputs[t]);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 0; t < 4; ++t) {
+    EXPECT_EQ(max_abs(sub(got[t], want[t])), 0.0f) << "thread " << t;
+  }
+}
+
+TEST(Calibrate, LeavesTheThreadsTapeAsItFoundIt) {
+  // calibrate() runs forwards that no backward follows; what they
+  // record must not stay on the thread's default tape.
+  auto qat = make_model(Arch::kResNet, 8, NetMode::kQat);
+  init_parameters(*qat, 70);
+  const std::size_t before = current_tape().size();
+  calibrate(*qat, {random_tensor(Shape{4, 3, 32, 32}, 71, 0.0f, 1.0f)});
+  EXPECT_EQ(current_tape().size(), before);
+  EXPECT_TRUE(fully_calibrated(*qat));
 }
 
 }  // namespace

@@ -352,6 +352,27 @@ TEST(ServeProtocol, DecodeRejectsVerdictCountLargerThanPayload) {
   EXPECT_LT(peak_rss_kb() - before, 16L * 1024) << "decoder allocated first";
 }
 
+TEST(ServeProtocol, DecodeRejectsHistogramCountLargerThanPayload) {
+  // 20000 minimal, distinctly named histograms behind a count of 2^20.
+  // Decoded one by one, each would allocate its 256 buckets (about
+  // 40 MiB in all) before the payload ran out.
+  WireWriter w;
+  w.u32(0);  // no counters
+  w.u32(1u << 20);
+  for (int i = 0; i < 20000; ++i) {
+    w.str("h" + std::to_string(i));
+    w.u64(0);  // count
+    w.u64(0);  // sum
+    w.u32(0);  // no non-zero buckets
+  }
+  const std::vector<std::uint8_t> payload = w.take();
+  const long before = peak_rss_kb();
+  const std::string msg = decode_error([&] { decode_stats_reply(payload); });
+  EXPECT_NE(msg.find("implausible histogram count 1048576"), std::string::npos)
+      << msg;
+  EXPECT_LT(peak_rss_kb() - before, 16L * 1024) << "decoder allocated first";
+}
+
 TEST(ServeProtocol, FrameIoRoundTripsOverSocketpair) {
   int sv[2];
   ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);

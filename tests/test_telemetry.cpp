@@ -460,6 +460,50 @@ TEST_F(KernelTelemetryTest, IgemmCountsMatchAnalyticPerTier) {
   }
 }
 
+TEST_F(KernelTelemetryTest, PrepackedIgemmCountsOnlyBPanels) {
+  // The executor packs weights once per model, so a prepacked product
+  // packs (and counts) only its B panels; the A panels were counted
+  // once, when igemm_pack_a built them.
+  const std::int64_t m = 6, n = 70, k = 36;
+  std::vector<std::int8_t> a(static_cast<std::size_t>(m * k), 3);
+  std::vector<std::int8_t> b(static_cast<std::size_t>(k * n), -2);
+  std::vector<std::int32_t> multiplier(static_cast<std::size_t>(m), 1 << 30);
+  std::vector<int> shift(static_cast<std::size_t>(m), 0);
+  IgemmEpilogue ep;
+  ep.multiplier = multiplier.data();
+  ep.shift = shift.data();
+  std::vector<std::int8_t> out(static_cast<std::size_t>(m * n));
+
+  for (const IsaTier tier : available_isa_tiers()) {
+    force_isa_tier(tier);
+    const IgemmVariant& v = kernel_dispatch().igemm;
+    const std::string suffix = std::string(".") + v.name;
+    const Snapshot before_pack = telemetry::snapshot();
+    const IgemmPackedA packed =
+        igemm_pack_a(tier, m, k, a.data(), k, /*b_zp=*/1, nullptr);
+    const Snapshot before = telemetry::snapshot();
+    EXPECT_EQ(
+        counter_delta(before, before_pack, "kernels.igemm.packed_bytes" + suffix),
+        static_cast<std::uint64_t>((m + v.mr - 1) / v.mr) * v.a_panel_bytes(k))
+        << v.name;
+    EXPECT_EQ(counter_delta(before, before_pack, "kernels.igemm.calls" + suffix),
+              0u)
+        << v.name;
+
+    igemm_packed(packed, n, b.data(), n, ep, out.data(), n);
+    const Snapshot after = telemetry::snapshot();
+    EXPECT_EQ(counter_delta(after, before, "kernels.igemm.calls" + suffix), 1u)
+        << v.name;
+    EXPECT_EQ(counter_delta(after, before, "kernels.igemm.macs" + suffix),
+              static_cast<std::uint64_t>(m * n * k))
+        << v.name;
+    EXPECT_EQ(
+        counter_delta(after, before, "kernels.igemm.packed_bytes" + suffix),
+        static_cast<std::uint64_t>((n + v.nr - 1) / v.nr) * v.b_panel_bytes(k))
+        << v.name;
+  }
+}
+
 TEST_F(KernelTelemetryTest, IgemmSingleRowPathAttributesToScalar) {
   const std::int64_t n = 8, k = 16;
   std::vector<std::int8_t> a(static_cast<std::size_t>(k), 1);
